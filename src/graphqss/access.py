@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .graphs import Graph, VertexSet, odd_neighborhood
 
 DEFAULT_ENUMERATION_LIMIT = 26
@@ -77,22 +77,6 @@ class ThresholdReport:
 # -- helpers -------------------------------------------------------------------
 
 
-def _compress(mask: int, members: tuple[int, ...]) -> int:
-    out = 0
-    for idx, u in enumerate(members):
-        if (mask >> u) & 1:
-            out |= 1 << idx
-    return out
-
-
-def _decompress(bits: int, members: tuple[int, ...], universe: int) -> VertexSet:
-    mask = 0
-    for idx, u in enumerate(members):
-        if (bits >> idx) & 1:
-            mask |= 1 << u
-    return VertexSet(universe, mask)
-
-
 def _check_inputs(g: Graph, a: VertexSet, b: VertexSet) -> None:
     if a.universe != g.n or b.universe != g.n:
         raise ValueError("vertex set universe != graph order")
@@ -112,13 +96,14 @@ def _combination_rank(members: tuple[int, ...], n: int) -> int:
     return r
 
 
-def _q_accessing_masks(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int) -> bool:
-    """Hot path: B accessing and complement(B) blind, all on raw bitmasks."""
-    mask_bbar = full ^ mask_b
-    # B accessing <=> A&B outside the span of the cut rows (rows of B-bar
-    # restricted to B); zero columns outside B do not affect the span.
+def _accessing(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int) -> bool:
+    """Hot path: A&B outside the span of the cut rows, on raw bitmasks.
+
+    The cut rows are the rows of B-bar restricted to B; zero columns outside
+    B do not affect the span, so everything stays in vertex coordinates.
+    """
     basis: dict[int, int] = {}
-    m = mask_bbar
+    m = full ^ mask_b
     while m:
         v = (m & -m).bit_length() - 1
         m &= m - 1
@@ -134,31 +119,40 @@ def _q_accessing_masks(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int
     while t:
         p = basis.get(t.bit_length() - 1)
         if p is None:
-            break
+            return True
         t ^= p
-    if t == 0:
-        return False
-    # complement blind <=> A&B-bar inside the span of the opposite cut rows
-    basis = {}
-    m = mask_b
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        r = adj[v] & mask_bbar
-        while r:
-            h = r.bit_length() - 1
-            p = basis.get(h)
-            if p is None:
-                basis[h] = r
-                break
-            r ^= p
-    t = mask_a & mask_bbar
-    while t:
-        p = basis.get(t.bit_length() - 1)
-        if p is None:
-            return False
-        t ^= p
-    return True
+    return False
+
+
+def _q_accessing_masks(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int) -> bool:
+    """B accessing and its complement blind, i.e. not accessing."""
+    return _accessing(adj, mask_a, mask_b, full) and not _accessing(
+        adj, mask_a, full ^ mask_b, full
+    )
+
+
+def _accessing_witness(g: Graph, a: VertexSet, b: VertexSet) -> Optional[VertexSet]:
+    """Verified lex-smallest D inside b with Odd(D) inside b and |D & a| odd."""
+    rows = [(a.mask, 1)] + [(g.adj[v], 0) for v in b.complement().members()]
+    _, x = gf2.reduce_rows(rows, b.mask)
+    if x is None:
+        return None
+    d = VertexSet(g.n, x)
+    if not (d.is_subset_of(b) and odd_neighborhood(g, d).is_subset_of(b) and len(d & a) % 2 == 1):
+        raise RuntimeError("accessing witness failed verification")
+    return d
+
+
+def _blind_witness(g: Graph, a: VertexSet, b: VertexSet) -> Optional[VertexSet]:
+    """Verified lex-smallest C outside b with Odd(C) & b == a & b."""
+    rows = ((g.adj[v], (a.mask >> v) & 1) for v in b.members())
+    _, y = gf2.reduce_rows(rows, b.complement().mask)
+    if y is None:
+        return None
+    c = VertexSet(g.n, y)
+    if not (c.is_subset_of(b.complement()) and (odd_neighborhood(g, c) & b) == (a & b)):
+        raise RuntimeError("blind witness failed verification")
+    return c
 
 
 # -- classification ------------------------------------------------------------
@@ -173,7 +167,10 @@ def cut_matrix(g: Graph, b: VertexSet) -> BitMatrix:
     if b.universe != g.n:
         raise ValueError("vertex set universe != graph order")
     cols = b.members()
-    rows = tuple(_compress(g.adj[v], cols) for v in b.complement().members())
+    rows = tuple(
+        sum(1 << i for i, u in enumerate(cols) if (g.adj[v] >> u) & 1)
+        for v in b.complement().members()
+    )
     return BitMatrix(len(cols), rows)
 
 
@@ -183,9 +180,7 @@ def rank_residual(g: Graph, a: VertexSet, b: VertexSet) -> int:
     1 means the coalition is accessing, 0 that it is blind.
     """
     _check_inputs(g, a, b)
-    mask_b = b.mask
-    basis = gf2.echelon_basis(g.adj[v] & mask_b for v in b.complement().members())
-    return 0 if gf2.in_span(a.mask & mask_b, basis) else 1
+    return 1 if _accessing(g.adj, a.mask, b.mask, (1 << g.n) - 1) else 0
 
 
 def classify_c(g: Graph, a: VertexSet, b: VertexSet) -> CClassification:
@@ -198,38 +193,12 @@ def classify_c(g: Graph, a: VertexSet, b: VertexSet) -> CClassification:
     lexicographically so runs are reproducible.
     """
     _check_inputs(g, a, b)
-    n = g.n
-    members_b = b.members()
-    members_bbar = b.complement().members()
-    mask_b = b.mask
-    mask_bbar = b.complement().mask
-
-    # accessing: solve [A&B pattern ; cut rows] . D = (1, 0, ..)
-    stacked = BitMatrix(
-        len(members_b),
-        (_compress(a.mask & mask_b, members_b),)
-        + tuple(_compress(g.adj[v] & mask_b, members_b) for v in members_bbar),
-    )
-    x = gf2.solve(stacked, BitVector(stacked.nrows, 1))
-    if x is not None:
-        d = _decompress(x.bits, members_b, n)
-        odd = odd_neighborhood(g, d)
-        if not (d.is_subset_of(b) and odd.is_subset_of(b) and len(d & a) % 2 == 1):
-            raise RuntimeError("accessing witness failed verification")
+    d = _accessing_witness(g, a, b)
+    if d is not None:
         return CClassification(CVerdict.ACCESSING, d)
-
-    # blind: solve rows-of-B system for C outside b with Odd(C) & b == a & b
-    transposed = BitMatrix(
-        len(members_bbar),
-        tuple(_compress(g.adj[v] & mask_bbar, members_bbar) for v in members_b),
-    )
-    target = BitVector(len(members_b), _compress(a.mask & mask_b, members_b))
-    y = gf2.solve(transposed, target)
-    if y is None:
+    c = _blind_witness(g, a, b)
+    if c is None:
         raise RuntimeError("coalition is neither accessing nor blind; adjacency corrupt?")
-    c = _decompress(y.bits, members_bbar, n)
-    if not (c.is_subset_of(b.complement()) and (odd_neighborhood(g, c) & b) == (a & b)):
-        raise RuntimeError("blind witness failed verification")
     return CClassification(CVerdict.BLIND, c)
 
 
@@ -242,15 +211,11 @@ def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
 def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
     _check_inputs(g, a, b)
     full = (1 << g.n) - 1
-    qa = _q_accessing_masks(g.adj, a.mask, b.mask, full)
-    qb = _q_accessing_masks(g.adj, a.mask, full ^ b.mask, full)
-    if qa and qb:
-        raise RuntimeError("coalition and complement both quantum-accessing")
-    if qa:
-        return QVerdict.Q_ACCESSING
-    if qb:
-        return QVerdict.Q_BLIND
-    return QVerdict.PARTIAL
+    acc_b = _accessing(g.adj, a.mask, b.mask, full)
+    acc_bbar = _accessing(g.adj, a.mask, full ^ b.mask, full)
+    if acc_b == acc_bbar:
+        return QVerdict.PARTIAL
+    return QVerdict.Q_ACCESSING if acc_b else QVerdict.Q_BLIND
 
 
 def access_report(g: Graph, a: VertexSet, b: VertexSet) -> AccessReport:
@@ -276,16 +241,13 @@ def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[Vert
     NoWitnessError unless b is quantum-accessing.
     """
     _check_inputs(g, a, b)
-    got_d = classify_c(g, a, b)
-    if got_d.verdict is not CVerdict.ACCESSING:
+    d = _accessing_witness(g, a, b)
+    if d is None:
         raise NoWitnessError("coalition cannot access a classical secret")
-    got_c = classify_c(g, a, b.complement())
-    if got_c.verdict is not CVerdict.BLIND:
+    # the complement is blind exactly when it is not accessing
+    c = _blind_witness(g, a, b.complement())
+    if c is None:
         raise NoWitnessError("coalition complement is accessing; no quantum reconstruction")
-    d, c = got_d.witness, got_c.witness
-    bbar = b.complement()
-    if not c.is_subset_of(b) or (odd_neighborhood(g, c) & bbar) != (a & bbar):
-        raise RuntimeError("reconstruction witness C failed verification")
     return d, c
 
 
@@ -429,25 +391,17 @@ def small_witness(
     """
     if b.universe != g.n:
         raise ValueError("vertex set universe != graph order")
-    members_b = b.members()
-    members_bbar = b.complement().members()
-    m = BitMatrix(
-        len(members_b),
-        tuple(_compress(g.adj[v] & b.mask, members_b) for v in members_bbar),
-    )
-    kern = gf2.kernel_basis(m)
-    if len(kern) > max_kernel_dim:
+    # the coset solves "every cut row hit oddly"; its kernel is the cut map's
+    rows = ((g.adj[v], 1) for v in b.complement().members())
+    pivots, coset = gf2.reduce_rows(rows, b.mask)
+    basis = gf2.null_basis(pivots, b.mask)
+    if len(basis) > max_kernel_dim:
         raise ResourceLimitError(
-            f"kernel dimension {len(kern)} exceeds limit {max_kernel_dim}"
+            f"kernel dimension {len(basis)} exceeds limit {max_kernel_dim}"
         )
-    basis = [v.bits for v in kern]
-    ones = BitVector(m.nrows, (1 << m.nrows) - 1)
-    particular = gf2.solve(m, ones)  # even-wise coset, may be absent
 
     best_odd: Optional[int] = None
     best_even: Optional[int] = None
-
-    width = len(members_b)
 
     def better(cur: Optional[int], cand: int) -> bool:
         if cur is None:
@@ -455,10 +409,9 @@ def small_witness(
         cw, nw = cur.bit_count(), cand.bit_count()
         if nw != cw:
             return nw < cw
-        return _member_key(cand, width) < _member_key(cur, width)
+        return _member_key(cand) < _member_key(cur)
 
     vec = 0
-    coset = particular.bits if particular is not None else None
     for i in range(1 << len(basis)):
         if i:
             vec ^= basis[(i & -i).bit_length() - 1]
@@ -474,13 +427,13 @@ def small_witness(
     odd_w = best_odd.bit_count() if best_odd is not None else None
     even_w = best_even.bit_count() if best_even is not None else None
     if best_even is None or (best_odd is not None and odd_w <= even_w):
-        return _decompress(best_odd, members_b, g.n), "odd-wise-odd-size"
-    return _decompress(best_even, members_b, g.n), "even-wise"
+        return VertexSet(g.n, best_odd), "odd-wise-odd-size"
+    return VertexSet(g.n, best_even), "even-wise"
 
 
-def _member_key(bits: int, width: int) -> tuple[int, ...]:
+def _member_key(bits: int) -> tuple[int, ...]:
     # lexicographic tie-break on ascending member lists
-    return tuple(i for i in range(width) if (bits >> i) & 1)
+    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 # -- exhaustive search over labelled graphs --------------------------------------

@@ -91,6 +91,8 @@ def min_feasible_k(n: int) -> int:
 
 def pure_qss_feasibility(max_k: int = 100) -> PureQssReport:
     """Scan all n = 2k - 1 up to k = max_k against the counting inequality."""
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
     rows = []
     for k in range(1, max_k + 1):
         n = 2 * k - 1

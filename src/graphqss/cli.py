@@ -4,8 +4,9 @@ Every subcommand prints one JSON document on success.  Vertices are
 0-indexed everywhere; coalition and encoding sets are comma-separated
 vertex lists, and --A defaults to all vertices.  Exit codes: 0 success,
 1 negative verdict (e.g. the queried set cannot access), 2 usage or input
-error, 3 resource limit.  Identical argv (and seed) produce byte-identical
-output; randomized paths take --seed and default to seed 0.
+error, 3 resource limit, 4 internal failure (a witness or protocol state
+that failed its own check).  Identical argv (and seed) produce
+byte-identical output; randomized paths take --seed and default to seed 0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_set(text: str, universe: int, what: str) -> graphs.VertexSet:
@@ -328,6 +330,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RuntimeError as exc:  # after its ResourceLimitError subclass
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.json:
         print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     else:

@@ -121,97 +121,87 @@ class BitMatrix:
             cols.append(v)
         return BitMatrix(self.nrows, tuple(cols))
 
-    def stack_row_on_top(self, bits: int) -> BitMatrix:
-        return BitMatrix(self.cols, (bits,) + self.rows)
+
+# -- the elimination kernel on raw int rows ------------------------------------
 
 
-# -- low-level helpers on raw int rows (hot path for coalition scans) --------
+def reduce_rows(rows: Iterable[tuple[int, int]], mask: int) -> tuple[dict[int, int], Optional[int]]:
+    """Reduced row echelon form of a GF(2) system over the columns in ``mask``.
 
+    Each row is a pair (coefficient bits, right-hand side bit).  Only the
+    coefficient bits inside ``mask`` are unknowns, so callers keep their own
+    coordinates and select the unknowns with the mask; the access module
+    passes adjacency rows in vertex labels this way.
 
-def echelon_basis(rows: Iterable[int]) -> dict[int, int]:
-    """Echelon basis keyed by leading (highest) bit; values span the rows."""
-    basis: dict[int, int] = {}
-    for r in rows:
-        while r:
-            h = r.bit_length() - 1
-            p = basis.get(h)
+    Returns ``(pivots, x)``.  ``pivots`` maps the highest column of each
+    row of the reduced echelon form to that row, whose right-hand side bit
+    sits at ``mask.bit_length()``; no pivot column occurs in another row.
+    ``x`` is the lexicographically smallest solution, lowest column most
+    significant, or None when the system is inconsistent.  It sets every
+    free column to 0: a reduced row ties its pivot only to free columns
+    below it, which are more significant, so no smaller choice exists.
+    """
+    top = 1 << mask.bit_length()
+    pivots: dict[int, int] = {}
+    consistent = True
+    for coeffs, bit in rows:
+        r = coeffs & mask | (top if bit else 0)
+        while r & mask:
+            h = (r & mask).bit_length() - 1
+            p = pivots.get(h)
             if p is None:
-                basis[h] = r
+                pivots[h] = r
                 break
             r ^= p
-    return basis
+        else:
+            if r:  # the row reduced to 0 = 1
+                consistent = False
+    # back-substitute, lowest pivot first, so each pivot column stays in one row
+    for h in sorted(pivots):
+        row = pivots[h]
+        for q, other in pivots.items():
+            if q > h and (other >> h) & 1:
+                pivots[q] = other ^ row
+    if not consistent:
+        return pivots, None
+    x = 0
+    for h, row in pivots.items():
+        if row & top:
+            x |= 1 << h
+    return pivots, x
 
 
-def reduce_bits(vec: int, basis: dict[int, int]) -> int:
-    """Residual of ``vec`` after elimination against an echelon basis."""
-    while vec:
-        p = basis.get(vec.bit_length() - 1)
-        if p is None:
-            break
-        vec ^= p
-    return vec
-
-
-def in_span(vec: int, basis: dict[int, int]) -> bool:
-    return reduce_bits(vec, basis) == 0
+def null_basis(pivots: dict[int, int], mask: int) -> list[int]:
+    """One kernel vector per free column of ``mask``, from ``reduce_rows`` pivots."""
+    out = []
+    for f in range(mask.bit_length()):
+        if (mask >> f) & 1 and f not in pivots:
+            v = 1 << f
+            for h, row in pivots.items():
+                if (row >> f) & 1:
+                    v |= 1 << h
+            out.append(v)
+    return out
 
 
 # -- public operations --------------------------------------------------------
 
 
+def _homogeneous(m: BitMatrix) -> dict[int, int]:
+    return reduce_rows(((r, 0) for r in m.rows), (1 << m.cols) - 1)[0]
+
+
 def rank(m: BitMatrix) -> int:
     """Dimension of the row space over GF(2); 0 for empty matrices."""
-    return len(echelon_basis(m.rows))
-
-
-def _rref(m: BitMatrix, rhs: Optional[int] = None) -> tuple[dict[int, int], Optional[int], bool]:
-    """Reduced row echelon form with pivots at the lowest column index.
-
-    Returns (pivot column -> reduced row, rhs bits keyed like rows via an
-    extra bit at position ``cols``, consistent).  With ``rhs`` given, rows
-    carry their right-hand-side bit at position ``cols`` and ``consistent``
-    reports solvability.
-    """
-    cols = m.cols
-    work = list(m.rows)
-    if rhs is not None:
-        work = [m.rows[i] | (((rhs >> i) & 1) << cols) for i in range(m.nrows)]
-    colmask = (1 << cols) - 1
-    pivots: dict[int, int] = {}
-    consistent = True
-    for r in work:
-        while r & colmask:
-            p = (r & -r).bit_length() - 1
-            q = pivots.get(p)
-            if q is None:
-                pivots[p] = r
-                break
-            r ^= q
-        else:
-            if r:  # zero row with rhs bit set: 0 = 1
-                consistent = False
-    # back-substitute so each pivot column appears in exactly one row
-    for p in sorted(pivots, reverse=True):
-        rp = pivots[p]
-        for q in pivots:
-            if q < p and (pivots[q] >> p) & 1:
-                pivots[q] ^= rp
-    return pivots, rhs, consistent
+    return len(_homogeneous(m))
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Canonical basis of {x : M x = 0}, one vector per free column."""
-    pivots, _, _ = _rref(m)
-    basis = []
-    for f in range(m.cols):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for p, row in pivots.items():
-            if (row >> f) & 1:
-                v |= 1 << p
-        basis.append(BitVector(m.cols, v))
-    return basis
+    """Canonical basis of {x : M x = 0}: the reduced echelon basis of the
+    kernel, one vector per leading (highest) bit, in ascending order."""
+    full = (1 << m.cols) - 1
+    canonical, _ = reduce_rows(((v, 0) for v in null_basis(_homogeneous(m), full)), full)
+    return [BitVector(m.cols, canonical[h]) for h in sorted(canonical)]
 
 
 def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
@@ -222,30 +212,9 @@ def solve(m: BitMatrix, b: BitVector) -> Optional[BitVector]:
     """
     if b.length != m.nrows:
         raise ValueError(f"rhs length {b.length} != rows {m.nrows}")
-    pivots, _, consistent = _rref(m, rhs=b.bits)
-    if not consistent:
-        return None
-    colmask = (1 << m.cols) - 1
-    x = 0
-    for p, row in pivots.items():
-        if row >> m.cols:  # rhs bit of this pivot row
-            x |= 1 << p
-    # lex-minimise over the solution coset: reduce against a kernel basis
-    # re-echelonised on the lowest set bit, clearing low coordinates first
-    low_basis: dict[int, int] = {}
-    for kv in kernel_basis(m):
-        v = kv.bits
-        while v:
-            lo = (v & -v).bit_length() - 1
-            q = low_basis.get(lo)
-            if q is None:
-                low_basis[lo] = v
-                break
-            v ^= q
-    for lo in sorted(low_basis):
-        if (x >> lo) & 1:
-            x ^= low_basis[lo]
-    return BitVector(m.cols, x & colmask)
+    rows = ((r, (b.bits >> i) & 1) for i, r in enumerate(m.rows))
+    _, x = reduce_rows(rows, (1 << m.cols) - 1)
+    return None if x is None else BitVector(m.cols, x)
 
 
 def mat_vec(m: BitMatrix, x: BitVector) -> BitVector:

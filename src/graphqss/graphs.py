@@ -15,7 +15,7 @@ from .errors import GraphParseError, ResourceLimitError
 
 DEFAULT_SEED = 0
 
-_MAX_GRAPH6_N = 258047  # 3-byte size form; longer graphs are out of scope
+_MAX_GRAPH6_N = 258047  # 3-byte graph6 size form; the cap for both text formats
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,8 @@ def _parse_edgelist(text: str) -> Graph:
         n = int(lines[0].strip())
     except ValueError:
         raise GraphParseError(f"line 1: vertex count is not an integer: {lines[0]!r}") from None
-    if n < 0:
-        raise GraphParseError("line 1: vertex count must be >= 0")
+    if not 0 <= n <= _MAX_GRAPH6_N:
+        raise GraphParseError(f"line 1: vertex count must be in 0..{_MAX_GRAPH6_N}")
     adj = [0] * n
     for ln, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()

@@ -93,12 +93,11 @@ def _deal_randomness(cfg: ProtocolConfig) -> tuple[int, int, tuple[int, ...], ra
 
 
 def _padded_register(
-    g: Graph, a: VertexSet, alpha: complex, beta: complex, b_x: int, b_z: int
+    pair: tuple[StateVector, StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
 ) -> StateVector:
-    g0 = quantum.encode_classical(g, a, b_x)
-    g1 = quantum.encode_classical(g, a, 1 - b_x)
-    sign = -1.0 if b_z else 1.0
-    return StateVector(g.n, alpha * g0.amplitudes + beta * sign * g1.amplitudes)
+    """The embedded secret after the pad: X swaps the encodings, Z signs beta."""
+    beta = beta * (-1.0 if b_z else 1.0)
+    return quantum._superpose(pair, beta, alpha) if b_x else quantum._superpose(pair, alpha, beta)
 
 
 def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
@@ -110,7 +109,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     if g.n <= THRESHOLD_VALIDATION_LIMIT and not _threshold_feasible(g, a, cfg.k):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
     b_x, b_z, holders, rng = _deal_randomness(cfg)
-    register = _padded_register(g, a, alpha, beta, b_x, b_z)
+    register = _padded_register(quantum._encoded_pair(g, a), alpha, beta, b_x, b_z)
     shares = shamir.share(shamir.pack_pad(b_x, b_z), cfg.k + cfg.c, cfg.players, rng)
     t = Transcript(cfg, (alpha, beta), (b_x, b_z), register, holders, shares)
     t.log.append(f"deal: n={g.n} players={cfg.players} k={cfg.k} c={cfg.c}")
@@ -178,9 +177,10 @@ def privacy_probe(
     """
     g, a = cfg.graph, cfg.access_set
     _, _, holders, _ = _deal_randomness(cfg)
+    pair = quantum._encoded_pair(g, a)
     registers = {
         si: [
-            _padded_register(g, a, s[0], s[1], b_x, b_z)
+            _padded_register(pair, s[0], s[1], b_x, b_z)
             for b_x in (0, 1)
             for b_z in (0, 1)
         ]

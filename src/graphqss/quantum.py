@@ -137,36 +137,48 @@ def graph_state(g: Graph) -> StateVector:
     return StateVector(n, amps.astype(np.complex128))
 
 
-def apply_pauli(s: StateVector, p: PauliOp) -> StateVector:
-    """Apply Z on the z-support, then X on the x-support, then the phase."""
-    n = s.n_qubits
-    if p.x_support.universe != n:
-        raise ValueError("operator support does not match qubit count")
-    idx = np.arange(1 << n, dtype=np.uint64)
+def _pauli_amplitudes(amps: np.ndarray, p: PauliOp) -> np.ndarray:
+    """``apply_pauli`` on a bare amplitude array, such as one half of a
+    register whose top qubit is an ancilla."""
+    idx = np.arange(len(amps), dtype=np.uint64)
     src = idx ^ np.uint64(p.x_support.mask)
     signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(p.z_support.mask)) & 1)
-    return StateVector(n, p.phase * signs * s.amplitudes[src])
+    return p.phase * signs * amps[src]
+
+
+def apply_pauli(s: StateVector, p: PauliOp) -> StateVector:
+    """Apply Z on the z-support, then X on the x-support, then the phase."""
+    if p.x_support.universe != s.n_qubits:
+        raise ValueError("operator support does not match qubit count")
+    return StateVector(s.n_qubits, _pauli_amplitudes(s.amplitudes, p))
+
+
+def _encoded_pair(g: Graph, a: VertexSet) -> tuple[StateVector, StateVector]:
+    """The two classical encodings: the graph state, and it with Z on a."""
+    if not a:
+        raise ValueError("encoding set A must be non-empty")
+    g0 = graph_state(g)
+    return g0, apply_pauli(g0, PauliOp(VertexSet.empty(g.n), a))
+
+
+def _superpose(pair: tuple[StateVector, StateVector], alpha: complex, beta: complex) -> StateVector:
+    """alpha times the first encoding plus beta times the second."""
+    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+        raise ValueError("secret amplitudes are not normalized")
+    g0, g1 = pair
+    return StateVector(g0.n_qubits, alpha * g0.amplitudes + beta * g1.amplitudes)
 
 
 def encode_classical(g: Graph, a: VertexSet, s: int) -> StateVector:
     """Graph state carrying classical bit s: s = 1 flips phases on a."""
     if s not in (0, 1):
         raise ValueError("classical secret must be 0 or 1")
-    if not a:
-        raise ValueError("encoding set A must be non-empty")
-    base = graph_state(g)
-    if s == 0:
-        return base
-    return apply_pauli(base, PauliOp(VertexSet.empty(g.n), a))
+    return _encoded_pair(g, a)[s]
 
 
 def embed_secret(g: Graph, a: VertexSet, alpha: complex, beta: complex) -> StateVector:
     """Embed alpha|0> + beta|1> into the two orthogonal encoded graph states."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("secret amplitudes are not normalized")
-    g0 = encode_classical(g, a, 0)
-    g1 = encode_classical(g, a, 1)
-    return StateVector(g.n, alpha * g0.amplitudes + beta * g1.amplitudes)
+    return _superpose(_encoded_pair(g, a), alpha, beta)
 
 
 def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
@@ -203,8 +215,9 @@ def distinguishability(g: Graph, a: VertexSet, b: VertexSet) -> tuple[float, flo
     distance 0 means b sees identical states.  This is the quantum oracle the
     combinatorial classifier is checked against.
     """
-    rho0 = reduced_density(encode_classical(g, a, 0), b)
-    rho1 = reduced_density(encode_classical(g, a, 1), b)
+    g0, g1 = _encoded_pair(g, a)
+    rho0 = reduced_density(g0, b)
+    rho1 = reduced_density(g1, b)
     return overlap(rho0, rho1), trace_distance(rho0, rho1)
 
 
@@ -275,15 +288,8 @@ def apply_controlled_VC(
     sign = -1 if _induced_edge_parity(g, c) else 1
     op = PauliOp(c, z_support, sign)
     half = 1 << n
-    upper = _apply_pauli_raw(s.amplitudes[half:], op, n)
+    upper = _pauli_amplitudes(s.amplitudes[half:], op)
     return StateVector(n + 1, np.concatenate([s.amplitudes[:half], upper]))
-
-
-def _apply_pauli_raw(amps: np.ndarray, p: PauliOp, n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint64)
-    src = idx ^ np.uint64(p.x_support.mask)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(p.z_support.mask)) & 1)
-    return p.phase * signs * amps[src]
 
 
 def dump_state(s: StateVector) -> str:

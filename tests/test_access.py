@@ -283,6 +283,22 @@ class TestSmallWitness:
             else:
                 assert (odd & b.complement()) == b.complement()
 
+    @pytest.mark.parametrize(
+        "n,seed,b,expected,kind",
+        [
+            (9, 889, [0, 1, 2, 3, 4, 5, 6], [2], "odd-wise-odd-size"),
+            (8, 321, [0, 1, 2, 4, 5, 6, 7], [0], "odd-wise-odd-size"),
+            (6, 443, [0, 2, 3, 4, 5], [0], "odd-wise-odd-size"),
+            (8, 416, [1, 2, 3, 7], [1, 3], "even-wise"),
+            (7, 191, [0, 1, 4, 5], [1, 4], "even-wise"),
+        ],
+    )
+    def test_tie_break_golden(self, n, seed, b, expected, kind):
+        # recorded before the solver moved to vertex coordinates; each
+        # coalition has 2 to 7 minimum witnesses to choose among
+        x, got_kind = small_witness(family("random", n, p=0.5, seed=seed), vs(n, b))
+        assert (list(x.members()), got_kind) == (expected, kind)
+
     def test_no_witness(self):
         with pytest.raises(NoWitnessError):
             small_witness(C5, VertexSet.empty(5))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from graphqss import cli
+from graphqss import access, cli, graphs
 from graphqss.graphs import family, serialize_graph
 
 C5_TEXT = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -77,6 +77,37 @@ class TestThreshold:
         assert code == 3 and "limit" in err
 
 
+class TestTieBreakGolden:
+    """Witness JSON recorded before the solver moved to vertex coordinates.
+
+    Each coalition has several valid witnesses (4 to 32 for D and C), so a
+    changed tie-break changes the output.
+    """
+
+    CASES = [
+        (9, 889, None, "0,1,2,3,4,5,6", [5], None, [6]),
+        (8, 321, None, "0,1,2,4,5,6,7", [7], None, [6]),
+        (6, 443, None, "0,2,3,4,5", [5], None, [3]),
+        (7, 983, "1,3,5", "1,2,3,4,5,6", [5], None, []),
+        (6, 820, None, "5", None, [4], None),
+        (8, 481, None, "3,5,6", None, [7], None),
+    ]
+
+    @pytest.mark.parametrize("n,seed,a,b,d,c_blind,c_pair", CASES)
+    def test_classify_and_witness(self, capsys, n, seed, a, b, d, c_blind, c_pair):
+        argv = ["--family", "random", "--n", str(n), "--p", "0.5", "--seed", str(seed), "--B", b]
+        argv += [] if a is None else ["--A", a]
+        accessing = d is not None  # every accessing case here is QAccessing
+        code, doc = run_json(capsys, ["classify", *argv])
+        assert (code, doc["witness_D"], doc["witness_C"]) == (0 if accessing else 1, d, c_blind)
+        assert doc["rank_residual"] == int(accessing)
+        code, doc = run_json(capsys, ["witness", *argv])
+        if accessing:
+            assert (code, doc["D"], doc["C"]) == (0, d, c_pair)
+        else:
+            assert code == 1 and doc["error"] == "coalition cannot access a classical secret"
+
+
 class TestProductAndBound:
     def test_product(self, capsys):
         code, doc = run_json(
@@ -101,6 +132,22 @@ class TestProductAndBound:
         assert code == 0
         assert doc["chain_k_max"] == 39 and doc["chain_n_max"] == 77
         assert doc["stated_cutoff_n"] == 79
+
+    @pytest.mark.parametrize("max_k", ["0", "-3"])
+    def test_pure_qss_rejects_empty_scan(self, capsys, max_k):
+        assert cli.run(["bound", "--pure-qss", "--max-k", max_k]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestInternalFailure:
+    def test_failed_witness_verification_exits_4(self, capsys, monkeypatch, c5_file):
+        # a wrong odd neighborhood makes the solver's witness fail its check
+        monkeypatch.setattr(access, "odd_neighborhood", lambda g, d: graphs.VertexSet.full(g.n))
+        code = cli.run(["witness", "--graph", c5_file, "--B", "0,1,2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 4
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
 
 
 class TestFamilyAndSimulate:

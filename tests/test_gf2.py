@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from graphqss.gf2 import (
     BitMatrix,
     BitVector,
-    echelon_basis,
-    in_span,
     kernel_basis,
     mat_vec,
+    null_basis,
     rank,
+    reduce_rows,
     solve,
 )
 
@@ -141,10 +141,57 @@ class TestKernel:
     @given(bit_matrices(max_rows=6, max_cols=6))
     @settings(max_examples=80, deadline=None)
     def test_kernel_spans_whole_nullspace(self, m):
-        basis = echelon_basis(v.bits for v in kernel_basis(m))
+        # x lies in the span of the basis iff appending it keeps the rank
+        rows = tuple(v.bits for v in kernel_basis(m))
         null = [x for x in range(1 << m.cols) if mat_vec(m, BitMatrix(m.cols, (x,)).row(0)).bits == 0]
-        assert len(null) == 1 << len(kernel_basis(m))
-        assert all(in_span(x, basis) for x in null)
+        assert len(null) == 1 << len(rows) == 1 << rank(BitMatrix(m.cols, rows))
+        assert all(rank(BitMatrix(m.cols, rows + (x,))) == len(rows) for x in null)
+
+
+def _has_gap(mask):
+    low = mask >> ((mask & -mask).bit_length() - 1)  # trailing zeros dropped
+    return low & (low + 1) != 0
+
+
+@st.composite
+def masked_systems(draw, width=10, max_rows=7):
+    """Rows in full coordinates over a column mask with at least one gap."""
+    mask = draw(st.integers(1, (1 << width) - 1).filter(_has_gap))
+    row = st.tuples(st.integers(0, (1 << width) - 1), st.integers(0, 1))
+    return width, mask, draw(st.lists(row, max_size=max_rows))
+
+
+class TestReduceRows:
+    """The raw kernel against enumeration over every subset of the mask."""
+
+    @given(masked_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_against_enumeration_in_vertex_coordinates(self, system):
+        width, mask, rows = system
+
+        def solutions(rhs):
+            return [
+                x
+                for x in range(1 << width)
+                if x & ~mask == 0
+                and all((c & x).bit_count() % 2 == (b if rhs else 0) for c, b in rows)
+            ]
+
+        pivots, x = reduce_rows(rows, mask)
+        kernel = solutions(False)
+        assert len(kernel) == 1 << (mask.bit_count() - len(pivots))
+        basis = null_basis(pivots, mask)
+        assert len(basis) == mask.bit_count() - len(pivots)
+        span = {0}
+        for v in basis:
+            span |= {s ^ v for s in span}
+        assert span == set(kernel)
+        brute = solutions(True)
+        if x is None:
+            assert brute == []
+        else:
+            lex = [tuple((y >> i) & 1 for i in range(width)) for y in brute]
+            assert x == brute[lex.index(min(lex))]
 
 
 class TestMatVec:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from graphqss.errors import GraphParseError
 from graphqss.graphs import (
+    _MAX_GRAPH6_N,
     Graph,
     VertexSet,
     c5_power,
@@ -199,6 +200,7 @@ class TestEdgeListFormat:
             ("2\na b", "non-integer"),
             ("", "vertex count"),
             ("x", "not an integer"),
+            ("-1", "vertex count"),
         ],
     )
     def test_parse_errors_carry_location(self, text, fragment):
@@ -206,6 +208,13 @@ class TestEdgeListFormat:
             parse_graph(text)
         assert fragment in str(err.value)
         assert "line" in str(err.value)
+
+    def test_vertex_count_capped_like_graph6(self):
+        # one parse-time cap for both formats, checked before allocating
+        assert parse_graph(f"{_MAX_GRAPH6_N}\n").n == _MAX_GRAPH6_N
+        for n in (_MAX_GRAPH6_N + 1, 3_000_000):
+            with pytest.raises(GraphParseError, match="vertex count"):
+                parse_graph(f"{n}\n")
 
 
 class TestGraph6Format:
