@@ -253,38 +253,27 @@ def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[Vert
 
 # -- coalition scans and thresholds ---------------------------------------------
 
-_W_ADJ: tuple[int, ...] = ()
-_W_MASK_A = 0
-_W_FULL = 0
-_W_N = 0
 
+def _first_failure(task: tuple[tuple[int, ...], int, int, tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """Lexicographically first non-accessing k-set starting with ``prefix``, or None.
 
-def _scan_init(adj: tuple[int, ...], mask_a: int, full: int, n: int) -> None:
-    global _W_ADJ, _W_MASK_A, _W_FULL, _W_N
-    _W_ADJ, _W_MASK_A, _W_FULL, _W_N = adj, mask_a, full, n
-
-
-def _scan_chunk(task: tuple[int, tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-    """First non-accessing coalition in one lexicographic chunk, or None."""
-    k, prefix = task
-    prefix_mask = 0
+    The task ``(adj, mask_a, k, prefix)`` carries the whole graph, so the
+    serial scan and every pool worker run this same loop with no shared state.
+    """
+    adj, mask_a, k, prefix = task
+    n = len(adj)
+    full = (1 << n) - 1
+    base = 0
     for v in prefix:
-        prefix_mask |= 1 << v
-    rest = k - len(prefix)
+        base |= 1 << v
     lo = prefix[-1] + 1 if prefix else 0
-    for tail in itertools.combinations(range(lo, _W_N), rest):
-        mask = prefix_mask
+    for tail in itertools.combinations(range(lo, n), k - len(prefix)):
+        mask = base
         for v in tail:
             mask |= 1 << v
-        if not _q_accessing_masks(_W_ADJ, _W_MASK_A, mask, _W_FULL):
+        if not _q_accessing_masks(adj, mask_a, mask, full):
             return prefix + tail
     return None
-
-
-def _chunk_prefixes(n: int, k: int, depth: int):
-    for prefix in itertools.combinations(range(n), depth):
-        if n - 1 - prefix[-1] >= k - depth:
-            yield (k, prefix)
 
 
 def scan_size_k(
@@ -305,26 +294,14 @@ def scan_size_k(
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
     n = g.n
-    adj, mask_a, full = g.adj, a.mask, (1 << n) - 1
     total = comb(n, k)
-
-    failure: Optional[tuple[int, ...]] = None
-    use_pool = jobs != 1 and k > 2 and total >= _PARALLEL_MIN_WORK
-    if use_pool:
-        tasks = list(_chunk_prefixes(n, k, 2))
-        with Pool(jobs, initializer=_scan_init, initargs=(adj, mask_a, full, n)) as pool:
-            for result in pool.imap(_scan_chunk, tasks):
-                if result is not None:
-                    failure = result
-                    break
+    if jobs != 1 and k > 2 and total >= _PARALLEL_MIN_WORK:
+        # every 2-vertex prefix that leaves room for the other k - 2 vertices
+        tasks = [(g.adj, a.mask, k, p) for p in itertools.combinations(range(n - k + 2), 2)]
+        with Pool(jobs) as pool:
+            failure = next((f for f in pool.imap(_first_failure, tasks) if f is not None), None)
     else:
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if not _q_accessing_masks(adj, mask_a, mask, full):
-                failure = combo
-                break
+        failure = _first_failure((g.adj, a.mask, k, ()))
 
     if failure is None:
         return ScanResult(True, None, total)

@@ -17,6 +17,11 @@ from fractions import Fraction
 from math import comb
 from typing import Optional
 
+from .errors import ResourceLimitError
+
+# n = 10^5 already needs about 237 MB of prefix sums and a minute and a half
+MIN_K_N_LIMIT = 100_000
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -70,10 +75,13 @@ def min_feasible_k(n: int) -> int:
 
     Prefix sums of C(n, i) are built once (the sum's upper limit only
     shrinks as k grows), so the scan stays fast for n in the tens of
-    thousands while remaining exact.
+    thousands while remaining exact.  Refuses n above ``MIN_K_N_LIMIT``
+    before the prefix sums are allocated.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
+    if n > MIN_K_N_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds min-k scan limit {MIN_K_N_LIMIT}")
     k0 = n // 2 + 1
     upper0 = (2 * (n - k0 + 1)) // 3
     prefix = [0] * (upper0 + 1)

@@ -170,10 +170,13 @@ def privacy_probe(
 ) -> float:
     """Largest trace distance any sub-threshold coalition sees between secrets.
 
-    For every coalition smaller than k + c, the coalition's quantum state is
-    averaged over the four equally likely pad values; with a perfect pad the
-    two averages coincide (the classical shares below threshold carry no
-    information by themselves, which the share-level tests check).
+    For every coalition of k + c - 1 players, the largest below threshold,
+    the coalition's quantum state is averaged over the four equally likely
+    pad values; with a perfect pad the two averages coincide (the classical
+    shares below threshold carry no information by themselves, which the
+    share-level tests check).  Smaller coalitions need no check: each lies
+    inside a maximal one, and trace distance cannot grow under the partial
+    trace that takes the larger view to the smaller.
     """
     g, a = cfg.graph, cfg.access_set
     _, _, holders, _ = _deal_randomness(cfg)
@@ -188,14 +191,13 @@ def privacy_probe(
     }
 
     qubit_masks = set()
-    for size in range(cfg.k + cfg.c):
-        for team in combinations(range(cfg.players), size):
-            team_set = set(team)
-            mask = 0
-            for q in range(g.n):
-                if holders[q] in team_set:
-                    mask |= 1 << q
-            qubit_masks.add(mask)
+    for team in combinations(range(cfg.players), cfg.k + cfg.c - 1):
+        team_set = set(team)
+        mask = 0
+        for q in range(g.n):
+            if holders[q] in team_set:
+                mask |= 1 << q
+        qubit_masks.add(mask)
 
     worst = 0.0
     for mask in sorted(qubit_masks):

@@ -104,18 +104,3 @@ def reconstruct(shares: Sequence[ClassicalShare], k: int) -> int:
             den = gf_mul(den, xi ^ xj)
         secret ^= gf_mul(yi, gf_mul(num, gf_inv(den)))
     return secret
-
-
-def serialize_shares(shares: Sequence[ClassicalShare]) -> bytes:
-    """(index byte, value byte) pairs."""
-    out = bytearray()
-    for s in shares:
-        out.append(s.index)
-        out.append(s.value)
-    return bytes(out)
-
-
-def parse_shares(data: bytes) -> list[ClassicalShare]:
-    if len(data) % 2 != 0:
-        raise ValueError("share bytes must come in (index, value) pairs")
-    return [ClassicalShare(data[i], data[i + 1]) for i in range(0, len(data), 2)]

@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing
 import random
 
 import pytest
@@ -219,6 +220,22 @@ class TestThreshold:
             serial = scan_size_k(g, a, k, jobs=1)
             parallel = scan_size_k(g, a, k, jobs=2)
             assert serial == parallel
+
+    def test_pool_under_spawn_matches_serial(self, monkeypatch):
+        # spawned workers start from a fresh import: each task must carry its graph
+        monkeypatch.setattr(access, "_PARALLEL_MIN_WORK", 1)
+        g = lexicographic_product(C5, family("path", 2))
+        cases = [
+            (VertexSet.full(10), 7),  # every 7-set accesses
+            (VertexSet.from_iterable(10, range(1, 10)), 8),  # fails in the last task
+        ]
+        old = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            for a, k in cases:
+                assert scan_size_k(g, a, k, jobs=2) == scan_size_k(g, a, k, jobs=1)
+        finally:
+            multiprocessing.set_start_method(old, force=True)
 
     def test_scan_counts_are_canonical(self):
         scan = scan_size_k(C5, A5, 3)

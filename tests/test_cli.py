@@ -133,6 +133,11 @@ class TestProductAndBound:
         assert doc["chain_k_max"] == 39 and doc["chain_n_max"] == 77
         assert doc["stated_cutoff_n"] == 79
 
+    def test_min_k_capped_before_allocating(self, capsys):
+        assert cli.run(["bound", "--min-k", "--n", "100001"]) == cli.EXIT_RESOURCE == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource limit:")
+
     @pytest.mark.parametrize("max_k", ["0", "-3"])
     def test_pure_qss_rejects_empty_scan(self, capsys, max_k):
         assert cli.run(["bound", "--pure-qss", "--max-k", max_k]) == 2
@@ -260,6 +265,18 @@ class TestErrorsAndFormats:
 
     def test_usage_error(self, capsys):
         assert cli.run(["classify", "--B", "0,1", "--bogus"]) == 2
+
+    def test_parser_shared_across_calls(self, capsys, c5_file):
+        # one parser serves every call in a process; no call may leak into the next
+        bad = ["classify", "--B", "0,1", "--bogus"]
+        good = ["classify", "--graph", c5_file, "--B", "0,1,2"]
+        calls = []
+        for argv in (bad, good, good, bad):
+            code = cli.run(argv)
+            calls.append((code, capsys.readouterr()))
+        assert calls[0][0] == 2 and "--bogus" in calls[0][1].err
+        assert calls[1][0] == 0 and json.loads(calls[1][1].out)["q_verdict"] == "QAccessing"
+        assert calls[1] == calls[2] and calls[0] == calls[3]
 
     def test_missing_required(self, capsys):
         assert cli.run(["classify", "--family", "cycle", "--n", "5"]) == 2

@@ -13,7 +13,13 @@ from graphqss.protocol import (
     reconstruct,
     serialize_transcript,
 )
-from graphqss.quantum import embed_secret, encode_classical, reduced_density, trace_distance
+from graphqss.quantum import (
+    DensityMatrix,
+    embed_secret,
+    encode_classical,
+    reduced_density,
+    trace_distance,
+)
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -175,6 +181,47 @@ class TestPrivacyProbe:
     def test_extension_probe(self):
         cfg = ProtocolConfig(C5, A5, 3, c=2, seed=3)
         assert privacy_probe(cfg, ((1, 0), (0, 1))) < 1e-10
+
+    @staticmethod
+    def team_views(cfg, secrets, pads, sizes):
+        """Trace distance of the pad-averaged views for every team of the given sizes."""
+        g, a = cfg.graph, cfg.access_set
+        holders = deal(cfg, (1, 0)).qubit_holders
+        registers = []  # per secret, its register under each pad: X swaps, Z signs beta
+        for alpha, beta in secrets:
+            regs = []
+            for b_x, b_z in pads:
+                amps = (alpha, -beta if b_z else beta)
+                regs.append(embed_secret(g, a, *(amps[::-1] if b_x else amps)))
+            registers.append(regs)
+        views = {}
+        for size in sizes:
+            for team in itertools.combinations(range(cfg.players), size):
+                b = VertexSet.from_iterable(g.n, [q for q in range(g.n) if holders[q] in team])
+                avg = [
+                    DensityMatrix(sum(reduced_density(reg, b).matrix for reg in regs) / len(regs))
+                    for regs in registers
+                ]
+                views[team] = trace_distance(*avg)
+        return views
+
+    @pytest.mark.parametrize("c", [0, 1, 2])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_maximal_teams_match_all_sizes(self, n, c):
+        cfg = ProtocolConfig(family("cycle", n), VertexSet.full(n), n - 2, c=c, seed=c)
+        secrets = ((1, 0), (0.6, 0.8j))
+        below = range(cfg.k + cfg.c)
+        views = self.team_views(cfg, secrets, [(0, 0), (0, 1), (1, 0), (1, 1)], below)
+        assert privacy_probe(cfg, secrets) == pytest.approx(max(views.values()), abs=1e-12)
+        # the reduction itself, on views that do differ: without the pad a
+        # maximal team always sees at least as much as any team inside it
+        raw = self.team_views(cfg, secrets, [(0, 0)], below)
+        top = cfg.k + cfg.c - 1
+        for team, dist in raw.items():
+            outer = [t for t in raw if len(t) == top and set(team) <= set(t)]
+            assert all(dist <= raw[t] + 1e-12 for t in outer)
+        # C5 is a perfect ((3,5)) scheme: no pair of its players sees anything
+        assert max(raw.values()) > 0.1 or (n, c) == (5, 0)
 
     def test_unpadded_register_would_leak(self):
         # sanity for the probe itself: without the pad, an accessing

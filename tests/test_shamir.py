@@ -10,9 +10,7 @@ from graphqss.shamir import (
     gf_inv,
     gf_mul,
     pack_pad,
-    parse_shares,
     reconstruct,
-    serialize_shares,
     share,
     unpack_pad,
 )
@@ -113,11 +111,3 @@ class TestPadAndWire:
         assert unpack_pad(3) == (1, 1)
         with pytest.raises(ValueError):
             pack_pad(2, 0)
-
-    def test_share_wire_format(self):
-        shares = share(1, 2, 3, random.Random(2))
-        data = serialize_shares(shares)
-        assert len(data) == 6
-        assert parse_shares(data) == shares
-        with pytest.raises(ValueError):
-            parse_shares(b"\x01")
