@@ -9,7 +9,6 @@ from .access import (
     WitnessPair,
     access_report,
     classify_c,
-    cut_matrix,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,
@@ -20,7 +19,6 @@ from .access import (
     small_witness,
 )
 from .bounds import BoundReport, counting_inequality, min_feasible_k, pure_qss_feasibility
-from .gf2 import BitMatrix, BitVector, kernel_basis, mat_vec, rank, solve
 from .graphs import (
     Graph,
     VertexSet,

@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
-from .gf2 import BitMatrix
 from .graphs import Graph, VertexSet, odd_neighborhood
 
 DEFAULT_ENUMERATION_LIMIT = 26
@@ -77,11 +76,22 @@ class ThresholdReport:
 # -- helpers -------------------------------------------------------------------
 
 
-def _check_inputs(g: Graph, a: VertexSet, b: VertexSet) -> None:
-    if a.universe != g.n or b.universe != g.n:
+def _check_b(g: Graph, b: VertexSet) -> None:
+    if b.universe != g.n:
+        raise ValueError("vertex set universe != graph order")
+
+
+def _check_a(g: Graph, a: VertexSet) -> None:
+    """The encoding set check; sweeps run it alone, as their coalitions come from g."""
+    if a.universe != g.n:
         raise ValueError("vertex set universe != graph order")
     if not a:
         raise ValueError("encoding set A must be non-empty")
+
+
+def _check_inputs(g: Graph, a: VertexSet, b: VertexSet) -> None:
+    _check_b(g, b)
+    _check_a(g, a)
 
 
 def _combination_rank(members: tuple[int, ...], n: int) -> int:
@@ -156,22 +166,6 @@ def _blind_witness(g: Graph, a: VertexSet, b: VertexSet) -> Optional[VertexSet]:
 
 
 # -- classification ------------------------------------------------------------
-
-
-def cut_matrix(g: Graph, b: VertexSet) -> BitMatrix:
-    """Adjacency submatrix with columns b and rows its complement.
-
-    Rows and columns are ordered by ascending vertex label; entry (v, u) is
-    the edge indicator for v outside b, u inside b.
-    """
-    if b.universe != g.n:
-        raise ValueError("vertex set universe != graph order")
-    cols = b.members()
-    rows = tuple(
-        sum(1 << i for i, u in enumerate(cols) if (g.adj[v] >> u) & 1)
-        for v in b.complement().members()
-    )
-    return BitMatrix(len(cols), rows)
 
 
 def rank_residual(g: Graph, a: VertexSet, b: VertexSet) -> int:
@@ -290,7 +284,7 @@ def scan_size_k(
     the first failure, or C(n, k) when all pass), so the result is identical
     under any scheduling.
     """
-    _check_inputs(g, a, g.vertices())
+    _check_a(g, a)
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
     n = g.n
@@ -328,7 +322,7 @@ def qstar_threshold(
     """
     if a is None:
         a = VertexSet.full(g.n)
-    _check_inputs(g, a, g.vertices())
+    _check_a(g, a)
     if g.n > limit:
         raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {limit}")
     prev_fail = VertexSet.empty(g.n)  # the empty coalition is always blind
@@ -366,8 +360,7 @@ def small_witness(
     everything outside b.  Both families are enumerated through the kernel
     and its affine coset; refuses kernels wider than ``max_kernel_dim``.
     """
-    if b.universe != g.n:
-        raise ValueError("vertex set universe != graph order")
+    _check_b(g, b)
     # the coset solves "every cut row hit oddly"; its kernel is the cut map's
     rows = ((g.adj[v], 1) for v in b.complement().members())
     pivots, coset = gf2.reduce_rows(rows, b.mask)

@@ -131,9 +131,6 @@ class Graph:
     def empty(cls, n: int) -> Graph:
         return cls(n, (0,) * n)
 
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self.adj[v])
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 

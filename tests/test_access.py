@@ -10,7 +10,6 @@ from graphqss.access import (
     QVerdict,
     access_report,
     classify_c,
-    cut_matrix,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,
@@ -22,6 +21,7 @@ from graphqss.access import (
     small_witness,
 )
 from graphqss.errors import NoWitnessError, ResourceLimitError
+from graphqss.gf2 import null_basis, reduce_rows
 from graphqss.graphs import (
     Graph,
     VertexSet,
@@ -50,19 +50,30 @@ def random_case(rng, max_n=8):
     return g, a, b
 
 
+def _cut_rows(g, b):
+    """The cut system of b as the access module builds it: rows of the
+    vertices outside b, over the columns of b, in vertex coordinates."""
+    return [(g.adj[v], 0) for v in b.complement().members()], b.mask
+
+
 class TestCutMatrix:
     def test_c5_example(self):
-        m = cut_matrix(C5, vs(5, [0, 1, 2]))
-        assert m.nrows == 2 and m.cols == 3
-        assert [m.row(i).coords() for i in range(2)] == [(0, 0, 1), (1, 0, 0)]
+        rows, mask = _cut_rows(C5, vs(5, [0, 1, 2]))
+        assert len(rows) == 2 and mask.bit_count() == 3
+        assert [c & mask for c, _ in rows] == [0b100, 0b001]
+        pivots, _ = reduce_rows(rows, mask)
+        assert len(pivots) == 2
 
     def test_full_coalition(self):
-        m = cut_matrix(C5, A5)
-        assert m.nrows == 0 and m.cols == 5
+        rows, mask = _cut_rows(C5, A5)
+        assert rows == [] and mask.bit_count() == 5
+        assert reduce_rows(rows, mask) == ({}, 0)
 
     def test_empty_coalition(self):
-        m = cut_matrix(C5, VertexSet.empty(5))
-        assert m.nrows == 5 and m.cols == 0
+        rows, mask = _cut_rows(C5, VertexSet.empty(5))
+        assert len(rows) == 5 and mask == 0
+        pivots, _ = reduce_rows(rows, mask)
+        assert pivots == {} and null_basis(pivots, mask) == []
 
 
 class TestClassifyClassical:
@@ -199,6 +210,12 @@ class TestThreshold:
     def test_enumeration_cap(self):
         with pytest.raises(ResourceLimitError):
             qstar_threshold(C5, limit=4)
+
+    def test_sweeps_reject_bad_encoding_set(self):
+        with pytest.raises(ValueError, match="encoding set A must be non-empty"):
+            scan_size_k(C5, VertexSet.empty(5), 3)
+        with pytest.raises(ValueError, match="vertex set universe != graph order"):
+            qstar_threshold(C5, VertexSet.full(4))
 
     def test_restricted_encoding_set(self):
         # A = {0}: {0} alone accesses (D = {0}, Odd inside? no) -- just

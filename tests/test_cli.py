@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from graphqss import access, cli, graphs
+from graphqss import access, bounds, cli, graphs
 from graphqss.graphs import family, serialize_graph
 
 C5_TEXT = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -135,6 +135,13 @@ class TestProductAndBound:
 
     def test_min_k_capped_before_allocating(self, capsys):
         assert cli.run(["bound", "--min-k", "--n", "100001"]) == cli.EXIT_RESOURCE == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("resource limit:")
+
+    def test_pure_qss_capped_before_scanning(self, capsys, monkeypatch):
+        # a scan would call the inequality before the refusal
+        monkeypatch.setattr(bounds, "counting_inequality", None)
+        assert cli.run(["bound", "--pure-qss", "--max-k", "1001"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource limit:")
 
