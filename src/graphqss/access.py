@@ -409,7 +409,7 @@ def _member_key(bits: int) -> tuple[int, ...]:
 # -- exhaustive search over labelled graphs --------------------------------------
 
 
-def exhaustive_graph_search(n: int, *, limit: int = 7) -> list[tuple[Graph, int]]:
+def exhaustive_graph_search(n: int, *, limit: int = 6) -> list[tuple[Graph, int]]:
     """Threshold of every labelled graph on n vertices, in edge-mask order.
 
     The edge bit order is (0,1), (0,2), ..., (0,n-1), (1,2), ... so results

@@ -3,6 +3,8 @@ from math import comb
 import pytest
 
 from graphqss.bounds import (
+    MIN_K_N_LIMIT,
+    _binomial_sum,
     counting_inequality,
     min_feasible_k,
     pure_qss_feasibility,
@@ -48,13 +50,29 @@ class TestCountingInequality:
             for k in range(n + 1):
                 assert comb(n, k) == rows[n][k]
 
+    def test_binomial_sum_against_pascal(self):
+        rows = pascal_table(60)
+        for n in range(61):
+            for upper in range(n + 1):
+                assert _binomial_sum(n, upper) == (sum(rows[n][1 : upper + 1]), rows[n][upper])
+
+    def test_every_regime_pair_against_direct_sum(self):
+        # covers k = n (upper = 0) and k = n//2 + 1 for both parities of n
+        for n in range(1, 121):
+            for k in range(n // 2 + 1, n + 1):
+                upper = (2 * (n - k + 1)) // 3
+                small = comb(k - 1, 2 * k - n - 1)
+                r = counting_inequality(n, k)
+                assert r.lhs == comb(n, k)
+                assert r.rhs == 2 * sum(comb(n, i) for i in range(1, upper + 1)) * small
+
 
 class TestMinFeasibleK:
     def test_five(self):
         assert min_feasible_k(5) == 3
 
     def test_matches_naive_scan(self):
-        for n in range(5, 41):
+        for n in range(5, 601):
             naive = next(
                 k for k in range(n // 2 + 1, n + 1) if counting_inequality(n, k).holds
             )
@@ -69,6 +87,23 @@ class TestMinFeasibleK:
     def test_domain(self):
         with pytest.raises(ValueError):
             min_feasible_k(4)
+
+    def test_at_the_cap(self):
+        # checked with math.comb, independently of the recurrences in bounds.
+        # The ~33,000-term sum is bracketed instead of summed: its top term
+        # C(n, u) <= sum <= C(n, u) * (n - u + 1) / (n - 2u + 1), since each
+        # term below C(n, u) is at most u / (n - u + 1) times the one above it
+        n = MIN_K_N_LIMIT
+        k = min_feasible_k(n)
+        assert k == 50_639
+        u = (2 * (n - k + 1)) // 3
+        assert u == (2 * (n - k + 2)) // 3  # k - 1 has the same upper limit
+        top = comb(n, u)
+        # holds at k even with the sum's lower bracket ...
+        assert comb(n, k) <= 2 * top * comb(k - 1, 2 * k - n - 1)
+        # ... and fails at k - 1 even with its upper bracket
+        rhs_max = 2 * top * (n - u + 1) * comb(k - 2, 2 * k - n - 3)
+        assert comb(n, k - 1) * (n - 2 * u + 1) > rhs_max
 
 
 class TestPureQssScan:

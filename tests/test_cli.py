@@ -256,6 +256,14 @@ class TestSearch:
     def test_resource_cap(self, capsys):
         assert cli.run(["search", "--n", "8"]) == 3
 
+    def test_n7_refused_before_enumerating(self, capsys, monkeypatch):
+        # 2^21 graphs; a search would call the threshold before the refusal
+        monkeypatch.setattr(access, "qstar_threshold", None)
+        assert cli.run(["search", "--n", "7"]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit:") and captured.err.count("\n") == 1
+
 
 class TestErrorsAndFormats:
     def test_unreadable_file(self, capsys):

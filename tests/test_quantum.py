@@ -236,6 +236,21 @@ class TestDistinguishability:
             assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
             assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
 
+    def test_matches_classifier_random_wide(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(7, 10)
+            g = family("random", n, p=0.5, seed=rng.randrange(10**6))
+            a = VertexSet(n, rng.randrange(1, 1 << n))
+            b = VertexSet(n, rng.randrange(1 << n))
+            verdict, _ = classify_c(g, a, b)
+            ov, dist = distinguishability(g, a, b)
+            assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
+            assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
+            seen.add(verdict)
+        assert seen == set(CVerdict)
+
 
 class TestMeasurement:
     def test_reads_both_encodings(self):
