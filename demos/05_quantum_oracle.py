@@ -18,7 +18,7 @@ from graphqss import (
     q_classify,
     reduced_density,
 )
-from graphqss.quantum import stabilizer_for, apply_pauli, trace_distance
+from graphqss.quantum import stabilizer_for, apply_pauli, trace_norm
 
 c5 = family("cycle", 5)
 everyone = VertexSet.full(5)
@@ -45,7 +45,8 @@ ov, dist = distinguishability(k3, a3, pair)
 print(f"  basis encodings:   overlap={ov:.3f} distance={dist:.3f} "
       f"({q_classify(k3, a3, pair).value})")
 s2 = 2**-0.5
-r_plus = reduced_density(embed_secret(k3, a3, s2, 1j * s2), pair)
-r_minus = reduced_density(embed_secret(k3, a3, s2, -1j * s2), pair)
-print(f"  (1,+i) vs (1,-i):  distance={trace_distance(r_plus, r_minus):.3f} "
+plus_i = embed_secret(k3, a3, s2, 1j * s2)
+minus_i = embed_secret(k3, a3, s2, -1j * s2)
+dist = trace_norm([(1, plus_i), (-1, minus_i)], pair)
+print(f"  (1,+i) vs (1,-i):  distance={dist:.3f} "
       "(the pair does learn something)")

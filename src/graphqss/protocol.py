@@ -81,17 +81,6 @@ def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
     return access.scan_size_k(g, a, k).all_accessing
 
 
-def _deal_randomness(cfg: ProtocolConfig) -> tuple[int, int, tuple[int, ...], random.Random]:
-    rng = random.Random(cfg.seed)
-    b_x = rng.randrange(2)
-    b_z = rng.randrange(2)
-    if cfg.c > 0:
-        holders = tuple(sorted(rng.sample(range(cfg.players), cfg.graph.n)))
-    else:
-        holders = tuple(range(cfg.graph.n))
-    return b_x, b_z, holders, rng
-
-
 def _padded_register(
     pair: tuple[StateVector, StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
 ) -> StateVector:
@@ -108,7 +97,13 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     g, a = cfg.graph, cfg.access_set
     if g.n <= THRESHOLD_VALIDATION_LIMIT and not _threshold_feasible(g, a, cfg.k):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
-    b_x, b_z, holders, rng = _deal_randomness(cfg)
+    rng = random.Random(cfg.seed)
+    b_x = rng.randrange(2)
+    b_z = rng.randrange(2)
+    if cfg.c > 0:
+        holders = tuple(sorted(rng.sample(range(cfg.players), g.n)))
+    else:
+        holders = tuple(range(g.n))
     register = _padded_register(quantum._encoded_pair(g, a), alpha, beta, b_x, b_z)
     shares = shamir.share(shamir.pack_pad(b_x, b_z), cfg.k + cfg.c, cfg.players, rng)
     t = Transcript(cfg, (alpha, beta), (b_x, b_z), register, holders, shares)
@@ -170,47 +165,28 @@ def privacy_probe(
 ) -> float:
     """Largest trace distance any sub-threshold coalition sees between secrets.
 
-    For every coalition of k + c - 1 players, the largest below threshold,
-    the coalition's quantum state is averaged over the four equally likely
-    pad values; with a perfect pad the two averages coincide (the classical
-    shares below threshold carry no information by themselves, which the
-    share-level tests check).  Smaller coalitions need no check: each lies
-    inside a maximal one, and trace distance cannot grow under the partial
-    trace that takes the larger view to the smaller.
+    Each view is a set of min(n, k + c - 1) qubits: a team of k + c - 1
+    players, the largest below threshold, can hold any such set whoever the
+    holders are.  The view's quantum state is averaged over the four equally
+    likely pad values; with a perfect pad the two averages coincide (the
+    classical shares below threshold carry no information by themselves,
+    which the share-level tests check).  Smaller views need no check: each
+    lies inside a maximal one, and trace distance cannot grow under the
+    partial trace that takes the larger view to the smaller.
     """
     g, a = cfg.graph, cfg.access_set
-    _, _, holders, _ = _deal_randomness(cfg)
     pair = quantum._encoded_pair(g, a)
-    registers = {
-        si: [
-            _padded_register(pair, s[0], s[1], b_x, b_z)
-            for b_x in (0, 1)
-            for b_z in (0, 1)
-        ]
-        for si, s in enumerate(secrets)
-    }
-
-    qubit_masks = set()
-    for team in combinations(range(cfg.players), cfg.k + cfg.c - 1):
-        team_set = set(team)
-        mask = 0
-        for q in range(g.n):
-            if holders[q] in team_set:
-                mask |= 1 << q
-        qubit_masks.add(mask)
-
-    worst = 0.0
-    for mask in sorted(qubit_masks):
-        b = VertexSet(g.n, mask)
-        avg = []
-        for si in (0, 1):
-            acc = None
-            for reg in registers[si]:
-                rho = quantum.reduced_density(reg, b).matrix
-                acc = rho if acc is None else acc + rho
-            avg.append(quantum.DensityMatrix(acc / 4.0))
-        worst = max(worst, quantum.trace_distance(avg[0], avg[1]))
-    return worst
+    views = [
+        (sign / 4.0, _padded_register(pair, alpha, beta, b_x, b_z))
+        for sign, (alpha, beta) in zip((1.0, -1.0), secrets)
+        for b_x in (0, 1)
+        for b_z in (0, 1)
+    ]
+    size = min(g.n, cfg.k + cfg.c - 1)
+    return max(
+        quantum.trace_norm(views, VertexSet.from_iterable(g.n, qubits))
+        for qubits in combinations(range(g.n), size)
+    )
 
 
 def serialize_transcript(t: Transcript, recovered: Optional[RecoveredSecret] = None) -> dict:

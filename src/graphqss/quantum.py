@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -181,10 +182,11 @@ def embed_secret(g: Graph, a: VertexSet, alpha: complex, beta: complex) -> State
     return _superpose(_encoded_pair(g, a), alpha, beta)
 
 
-def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
-    """Partial trace onto the qubits in b, without forming the full projector.
+def _amplitude_matrix(s: StateVector, b: VertexSet) -> np.ndarray:
+    """s as a 2^|b̄| x 2^|b| matrix M: rows index the traced-out qubits and
+    columns the kept ones, so tr_{b̄}|s><s| = M^T conj(M).
 
-    Bit l of the reduced index is the l-th smallest member of b.
+    Bit l of the column index is the l-th smallest member of b.
     """
     n = s.n_qubits
     if b.universe != n:
@@ -194,18 +196,31 @@ def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
     # axis of qubit q in the reshaped tensor is n-1-q (C order, qubit 0 = LSB)
     perm = [n - 1 - q for q in reversed(env)] + [n - 1 - q for q in reversed(keep)]
     tensor = s.amplitudes.reshape((2,) * n).transpose(perm)
-    mat = tensor.reshape(1 << len(env), 1 << len(keep))
-    rho = mat.T @ mat.conj()
-    return DensityMatrix(rho)
+    return tensor.reshape(1 << len(env), 1 << len(keep))
 
 
-def overlap(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
-    return float(np.real(np.trace(rho0.matrix @ rho1.matrix)))
+def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
+    """Partial trace onto the qubits in b, without forming the full projector.
+
+    Bit l of the reduced index is the l-th smallest member of b.
+    """
+    m = _amplitude_matrix(s, b)
+    return DensityMatrix(m.T @ m.conj())
 
 
-def trace_distance(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
-    eig = np.linalg.eigvalsh(rho0.matrix - rho1.matrix)
-    return float(np.abs(eig).sum())
+def trace_norm(views: Sequence[tuple[float, StateVector]], b: VertexSet) -> float:
+    """Trace norm of sum_i w_i tr_{b̄}|psi_i><psi_i| over (w_i, psi_i) views.
+
+    With the amplitude matrices M_i stacked into Y, the sum is
+    Y^T diag(w) conj(Y).  For the thin QR Y^T = QR, its non-zero eigenvalues
+    are those of R diag(w) R^dagger, whose side is min(2^|b|, rows of Y)
+    rather than 2^|b|.  A Gram-matrix square root in place of the QR read
+    2-5e-8 on views that should read 0.
+    """
+    y = np.vstack([_amplitude_matrix(s, b) for _, s in views])
+    w = np.repeat([weight for weight, _ in views], len(y) // len(views))
+    r = np.linalg.qr(y.T, mode="r")
+    return float(np.abs(np.linalg.eigvalsh((r * w) @ r.conj().T)).sum())
 
 
 def distinguishability(g: Graph, a: VertexSet, b: VertexSet) -> tuple[float, float]:
@@ -216,9 +231,14 @@ def distinguishability(g: Graph, a: VertexSet, b: VertexSet) -> tuple[float, flo
     combinatorial classifier is checked against.
     """
     g0, g1 = _encoded_pair(g, a)
-    rho0 = reduced_density(g0, b)
-    rho1 = reduced_density(g1, b)
-    return overlap(rho0, rho1), trace_distance(rho0, rho1)
+    m0, m1 = _amplitude_matrix(g0, b), _amplitude_matrix(g1, b)
+    # tr(rho0 rho1) = |conj(M0) M1^T|_F^2; when b keeps fewer qubits than it
+    # traces out, the reduced states themselves are the smaller product
+    if m0.shape[0] <= m0.shape[1]:
+        ov = np.linalg.norm(m0.conj() @ m1.T) ** 2
+    else:
+        ov = np.vdot(m1.T @ m1.conj(), m0.T @ m0.conj()).real
+    return float(ov), trace_norm([(1.0, g0), (-1.0, g1)], b)
 
 
 def measure_access_observable(s: StateVector, g: Graph, a: VertexSet, d: VertexSet) -> int:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here works by direct neighborhood enumeration over all subsets,
-never through the rank-based solver paths it is used to check.
+never through the rank-based solver paths it is used to check, or by dense
+linear algebra on full reduced density matrices, never through the low-rank
+trace-norm kernel.
 """
 
 from __future__ import annotations
@@ -9,7 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+import numpy as np
+
 from graphqss.graphs import Graph, VertexSet, odd_neighborhood
+from graphqss.quantum import DensityMatrix
 
 
 def submasks(mask: int):
@@ -74,3 +79,14 @@ def induced_edge_count(g: Graph, support: int) -> int:
         for u, v in g.edges()
         if (support >> u) & 1 and (support >> v) & 1
     )
+
+
+def overlap(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """tr(rho0 rho1) by a dense matrix product."""
+    return float(np.real(np.trace(rho0.matrix @ rho1.matrix)))
+
+
+def trace_distance(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
+    """Trace norm of rho0 - rho1 by a dense eigen-solve."""
+    eig = np.linalg.eigvalsh(rho0.matrix - rho1.matrix)
+    return float(np.abs(eig).sum())

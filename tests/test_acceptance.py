@@ -32,8 +32,15 @@ from graphqss.graphs import (
     odd_neighborhood,
 )
 from graphqss.protocol import ProtocolConfig, deal, privacy_probe, reconstruct
-from graphqss.quantum import encode_classical, overlap, reduced_density, trace_distance
-from helpers import all_graphs, brute_accessing_witness, brute_blind_witness, is_isomorphic
+from graphqss.quantum import encode_classical, reduced_density
+from helpers import (
+    all_graphs,
+    brute_accessing_witness,
+    brute_blind_witness,
+    is_isomorphic,
+    overlap,
+    trace_distance,
+)
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)

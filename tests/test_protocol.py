@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from graphqss.quantum import (
     embed_secret,
     encode_classical,
     reduced_density,
-    trace_distance,
+    trace_norm,
 )
+from helpers import trace_distance
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -228,9 +230,18 @@ class TestPrivacyProbe:
         # coalition sees the secret, so the probe's machinery must detect
         # nonzero distance on raw embeddings
         b = VertexSet.from_iterable(5, [0, 1, 2])
-        r0 = reduced_density(embed_secret(C5, A5, 1, 0), b)
-        r1 = reduced_density(embed_secret(C5, A5, 0, 1), b)
+        s0, s1 = embed_secret(C5, A5, 1, 0), embed_secret(C5, A5, 0, 1)
+        r0, r1 = reduced_density(s0, b), reduced_density(s1, b)
         assert trace_distance(r0, r1) > 1.0
+        assert trace_norm([(1, s0), (-1, s1)], b) == pytest.approx(trace_distance(r0, r1), abs=1e-12)
+
+    def test_many_classical_players(self):
+        # 208 players: every team below threshold is one of C(208, 203)
+        # ~ 3.1e9, while the qubit sets it can hold are the 8 sets of 7
+        cfg = ProtocolConfig(family("cycle", 8), VertexSet.full(8), 4, c=200)
+        t0 = time.perf_counter()
+        assert privacy_probe(cfg, ((1, 0), (0, 1))) < 1e-10
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestSerialization:

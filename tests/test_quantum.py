@@ -23,9 +23,9 @@ from graphqss.quantum import (
     measure_access_observable,
     reduced_density,
     stabilizer_for,
-    trace_distance,
+    trace_norm,
 )
-from helpers import all_graphs, induced_edge_count
+from helpers import all_graphs, induced_edge_count, overlap, trace_distance
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -250,6 +250,79 @@ class TestDistinguishability:
             assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
             seen.add(verdict)
         assert seen == set(CVerdict)
+
+    def test_matches_classifier_at_qubit_cap(self):
+        # 11 and 12 qubits, every coalition size from B = {} to B = V
+        rng = random.Random(37)
+        for n in (11, 12):
+            for _ in range(2):
+                g = family("random", n, p=0.5, seed=rng.randrange(10**6))
+                a = VertexSet(n, rng.randrange(1, 1 << n))
+                for size in range(n + 1):
+                    b = vs(n, rng.sample(range(n), size))
+                    verdict, _ = classify_c(g, a, b)
+                    ov, dist = distinguishability(g, a, b)
+                    assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
+                    assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
+
+
+class TestTraceNorm:
+    """The low-rank kernel against dense reduced density matrices."""
+
+    @staticmethod
+    def dense(views, b):
+        """Trace norm of the weighted sum of reduced states, by full eigen-solve."""
+        total = sum(w * reduced_density(s, b).matrix for w, s in views)
+        return float(np.abs(np.linalg.eigvalsh(total)).sum())
+
+    @staticmethod
+    def random_case(rng):
+        n = rng.randint(1, 10)
+        g = family("random", n, p=rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
+        a = VertexSet(n, rng.randrange(1, 1 << n))
+        # at most 7 kept qubits keeps each dense reference solve under 128 x 128
+        b = vs(n, rng.sample(range(n), rng.randint(0, min(n, 7))))
+        return g, a, b
+
+    def test_encoded_pairs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g, a, b = self.random_case(rng)
+            g0, g1 = encode_classical(g, a, 0), encode_classical(g, a, 1)
+            r0, r1 = reduced_density(g0, b), reduced_density(g1, b)
+            assert trace_norm([(1, g0), (-1, g1)], b) == pytest.approx(trace_distance(r0, r1), abs=1e-12)
+            ov, dist = distinguishability(g, a, b)
+            assert ov == pytest.approx(overlap(r0, r1), abs=1e-12)
+            assert dist == pytest.approx(trace_distance(r0, r1), abs=1e-12)
+
+    def test_padded_mixtures(self):
+        # the privacy probe's view: four pads per secret, weights +-1/4
+        rng = random.Random(43)
+        for _ in range(300):
+            g, a, b = self.random_case(rng)
+            views = []
+            for sign in (1, -1):
+                alpha, beta = random_state(1, rng.randrange(10**6)).amplitudes
+                for b_x in (0, 1):
+                    for b_z in (0, 1):
+                        amps = (alpha, -beta if b_z else beta)
+                        views.append((sign / 4, embed_secret(g, a, *(amps[::-1] if b_x else amps))))
+            assert trace_norm(views, b) == pytest.approx(self.dense(views, b), abs=1e-12)
+
+    def test_no_qubits_and_all_qubits(self):
+        rng = random.Random(47)
+        for n in range(1, 9):
+            g = family("random", n, p=0.5, seed=rng.randrange(10**6))
+            a = VertexSet(n, rng.randrange(1, 1 << n))
+            pair = [(1, encode_classical(g, a, 0)), (-1, encode_classical(g, a, 1))]
+            mixed = [(0.7, random_state(n, 2 * n)), (-0.2, random_state(n, 2 * n + 1))]
+            for b in (VertexSet.empty(n), VertexSet.full(n)):
+                for views in (pair, mixed):
+                    assert trace_norm(views, b) == pytest.approx(self.dense(views, b), abs=1e-12)
+            # nothing kept: only the weights' sum survives; everything kept:
+            # two orthogonal pure states
+            assert trace_norm(mixed, VertexSet.empty(n)) == pytest.approx(0.5, abs=1e-12)
+            assert trace_norm(pair, VertexSet.full(n)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestMeasurement:
