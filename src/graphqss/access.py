@@ -21,8 +21,10 @@ from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
 from .graphs import Graph, VertexSet, odd_neighborhood
 
-DEFAULT_ENUMERATION_LIMIT = 26
-DEFAULT_KERNEL_DIM_LIMIT = 24
+ENUMERATION_LIMIT = 26
+KERNEL_DIM_LIMIT = 24
+# n = 7 means 2^21 graphs, estimated at about 7 minutes
+SEARCH_N_LIMIT = 6
 _PARALLEL_MIN_WORK = 200_000
 
 
@@ -310,7 +312,6 @@ def qstar_threshold(
     g: Graph,
     a: Optional[VertexSet] = None,
     *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
     jobs: Optional[int] = None,
 ) -> ThresholdReport:
     """Smallest k such that every size-k coalition is quantum-accessing.
@@ -318,13 +319,13 @@ def qstar_threshold(
     Scans sizes upward (quantum accessibility is upward monotone, a property
     the test suite verifies exhaustively on small graphs), stopping at the
     first size with no failure.  The failing set recorded for size k_star - 1
-    certifies minimality.
+    certifies minimality.  Refuses graphs over ``ENUMERATION_LIMIT`` vertices.
     """
     if a is None:
         a = VertexSet.full(g.n)
     _check_a(g, a)
-    if g.n > limit:
-        raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {limit}")
+    if g.n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
     prev_fail = VertexSet.empty(g.n)  # the empty coalition is always blind
     checked = 1
     for k in range(1, g.n + 1):
@@ -347,28 +348,23 @@ def product_threshold_bound(n1: int, k1: int, n2: int, k2: int) -> tuple[int, in
 # -- minimal parity witnesses ---------------------------------------------------
 
 
-def small_witness(
-    g: Graph,
-    b: VertexSet,
-    *,
-    max_kernel_dim: int = DEFAULT_KERNEL_DIM_LIMIT,
-) -> tuple[VertexSet, str]:
+def small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
     """Minimum-size X in b that is odd-wise of odd size, or even-wise.
 
     Odd-wise means X and its odd neighborhood stay inside b (X is in the
     kernel of the cut map); even-wise means the odd neighborhood of X covers
     everything outside b.  Both families are enumerated through the kernel
-    and its affine coset; refuses kernels wider than ``max_kernel_dim``.
+    and its affine coset; refuses kernels wider than ``KERNEL_DIM_LIMIT``
+    before building a basis.
     """
     _check_b(g, b)
     # the coset solves "every cut row hit oddly"; its kernel is the cut map's
     rows = ((g.adj[v], 1) for v in b.complement().members())
     pivots, coset = gf2.reduce_rows(rows, b.mask)
+    kernel_dim = len(b) - len(pivots)  # one basis vector per free column
+    if kernel_dim > KERNEL_DIM_LIMIT:
+        raise ResourceLimitError(f"kernel dimension {kernel_dim} exceeds limit {KERNEL_DIM_LIMIT}")
     basis = gf2.null_basis(pivots, b.mask)
-    if len(basis) > max_kernel_dim:
-        raise ResourceLimitError(
-            f"kernel dimension {len(basis)} exceeds limit {max_kernel_dim}"
-        )
 
     best_odd: Optional[int] = None
     best_even: Optional[int] = None
@@ -409,14 +405,15 @@ def _member_key(bits: int) -> tuple[int, ...]:
 # -- exhaustive search over labelled graphs --------------------------------------
 
 
-def exhaustive_graph_search(n: int, *, limit: int = 6) -> list[tuple[Graph, int]]:
+def exhaustive_graph_search(n: int) -> list[tuple[Graph, int]]:
     """Threshold of every labelled graph on n vertices, in edge-mask order.
 
     The edge bit order is (0,1), (0,2), ..., (0,n-1), (1,2), ... so results
-    are reproducible.  Exponential in n(n-1)/2; refuses n beyond ``limit``.
+    are reproducible.  Exponential in n(n-1)/2; refuses n beyond
+    ``SEARCH_N_LIMIT``.
     """
-    if n > limit:
-        raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {limit}")
+    if n > SEARCH_N_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {SEARCH_N_LIMIT}")
     if n < 1:
         raise ValueError("n must be >= 1")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="smallest size at which every coalition accesses")
     _add_graph_source(p)
     p.add_argument("--A")
-    p.add_argument("--limit", type=int, default=access.DEFAULT_ENUMERATION_LIMIT)
 
     p = sub.add_parser("product", help="threshold parameters of a scheme product")
     p.add_argument("--n1", type=int, required=True)
@@ -184,7 +183,7 @@ def _cmd_witness(args) -> tuple[dict, int]:
 def _cmd_threshold(args) -> tuple[dict, int]:
     g = _load_graph(args)
     a, _ = _sets(args, g)
-    report = access.qstar_threshold(g, a, limit=args.limit)
+    report = access.qstar_threshold(g, a)
     return {
         "n": g.n,
         "A": _members(a),

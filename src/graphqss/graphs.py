@@ -16,6 +16,7 @@ from .errors import GraphParseError, ResourceLimitError
 DEFAULT_SEED = 0
 
 _MAX_GRAPH6_N = 258047  # 3-byte graph6 size form; the cap for both text formats
+C5_POWER_VERTEX_LIMIT = 3125
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,14 @@ def lexicographic_product(g1: Graph, g2: Graph) -> Graph:
     return Graph(n1 * n2, tuple(adj))
 
 
-def c5_power(i: int, max_vertices: int = 3125) -> Graph:
+def c5_power(i: int) -> Graph:
     """Iterated lexicographic power of the 5-cycle; 5**i vertices."""
     if i < 1:
         raise ValueError("power must be >= 1")
-    if 5**i > max_vertices:
-        raise ResourceLimitError(f"5**{i} vertices exceeds cap {max_vertices}")
+    # 5**b > 2**b > the cap for b its bit length, so clipping the exponent
+    # refuses a huge i without building 5**i
+    if 5 ** min(i, C5_POWER_VERTEX_LIMIT.bit_length()) > C5_POWER_VERTEX_LIMIT:
+        raise ResourceLimitError(f"5**{i} vertices exceeds cap {C5_POWER_VERTEX_LIMIT}")
     g = family("cycle", 5)
     out = g
     for _ in range(i - 1):

@@ -28,7 +28,6 @@ from .graphs import Graph, VertexSet, odd_neighborhood
 from .quantum import StateVector
 
 FIDELITY_ATOL = 1e-9
-THRESHOLD_VALIDATION_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,10 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > FIDELITY_ATOL:
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
-    if g.n <= THRESHOLD_VALIDATION_LIMIT and not _threshold_feasible(g, a, cfg.k):
+    # the register is built first, so one over the qubit cap is refused
+    # before any coalition is scanned
+    pair = quantum._encoded_pair(g, a)
+    if not _threshold_feasible(g, a, cfg.k):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
     rng = random.Random(cfg.seed)
     b_x = rng.randrange(2)
@@ -104,7 +106,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
         holders = tuple(sorted(rng.sample(range(cfg.players), g.n)))
     else:
         holders = tuple(range(g.n))
-    register = _padded_register(quantum._encoded_pair(g, a), alpha, beta, b_x, b_z)
+    register = _padded_register(pair, alpha, beta, b_x, b_z)
     shares = shamir.share(shamir.pack_pad(b_x, b_z), cfg.k + cfg.c, cfg.players, rng)
     t = Transcript(cfg, (alpha, beta), (b_x, b_z), register, holders, shares)
     t.log.append(f"deal: n={g.n} players={cfg.players} k={cfg.k} c={cfg.c}")

@@ -8,15 +8,13 @@ Conventions used throughout (and by everything downstream):
 * reduced density matrices index their qubits by ascending vertex label.
 
 Tolerances: 1e-12 for algebraic identities (norms, fixpoints), 1e-10 for
-derived zero tests (overlap, trace distance, purity).  The register limit
-defaults to 12 qubits and can be overridden with the QSS_MAX_QUBITS
-environment variable.
+derived zero tests (overlap, trace distance, purity).  Registers are capped
+at ``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,21 +25,7 @@ from .graphs import Graph, VertexSet, odd_neighborhood
 
 ATOL_ALGEBRA = 1e-12
 ATOL_ZERO_TEST = 1e-10
-DEFAULT_QUBIT_LIMIT = 12
-
-
-def qubit_limit() -> int:
-    """Simulator size cap; QSS_MAX_QUBITS in the environment overrides it."""
-    raw = os.environ.get("QSS_MAX_QUBITS")
-    if raw is None:
-        return DEFAULT_QUBIT_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"QSS_MAX_QUBITS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ValueError("QSS_MAX_QUBITS must be >= 1")
-    return value
+QUBIT_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -128,8 +112,8 @@ def stabilizer_for(g: Graph, d: VertexSet) -> PauliOp:
 def graph_state(g: Graph) -> StateVector:
     """Uniform-magnitude state whose sign at x counts induced edges mod 2."""
     n = g.n
-    if n > qubit_limit():
-        raise ResourceLimitError(f"{n} qubits exceeds limit {qubit_limit()}")
+    if n > QUBIT_LIMIT:
+        raise ResourceLimitError(f"{n} qubits exceeds limit {QUBIT_LIMIT}")
     idx = np.arange(1 << n, dtype=np.uint64)
     parity = np.zeros(1 << n, dtype=np.uint64)
     for i, j in g.edges():
@@ -295,18 +279,16 @@ def apply_controlled_VC(
     n = g.n
     if s.n_qubits != n + 1:
         raise ValueError("expected a register with one ancilla qubit on top")
-    odd = odd_neighborhood(g, c)
-    z_support = odd ^ a
-    support = c | z_support
+    # c's stabilizer times Z on a: the Z supports merge by symmetric
+    # difference and the phase stays the stabilizer's
+    stab = stabilizer_for(g, c)
+    op = PauliOp(c, stab.z_support ^ a, stab.phase)
+    support = c | op.z_support
     if allowed is not None and not support.is_subset_of(allowed):
         raise LocalityError(
             f"correction acts on {sorted(set(support.members()) - set(allowed.members()))} "
             "outside the coalition"
         )
-    # c's stabilizer times Z on a: the Z supports merge by symmetric
-    # difference and the sign stays the induced-edge parity of c
-    sign = -1 if _induced_edge_parity(g, c) else 1
-    op = PauliOp(c, z_support, sign)
     half = 1 << n
     upper = _pauli_amplitudes(s.amplitudes[half:], op)
     return StateVector(n + 1, np.concatenate([s.amplitudes[:half], upper]))

@@ -207,9 +207,11 @@ class TestThreshold:
         rep = qstar_threshold(family("path", 1))
         assert rep.k_star == 1 and rep.certificate_fail.members() == ()
 
-    def test_enumeration_cap(self):
-        with pytest.raises(ResourceLimitError):
-            qstar_threshold(C5, limit=4)
+    def test_enumeration_cap(self, monkeypatch):
+        # refused before any coalition is scanned
+        monkeypatch.setattr(access, "scan_size_k", None)
+        with pytest.raises(ResourceLimitError, match="n=27 exceeds enumeration limit 26"):
+            qstar_threshold(family("cycle", 27))
 
     def test_sweeps_reject_bad_encoding_set(self):
         with pytest.raises(ValueError, match="encoding set A must be non-empty"):
@@ -337,9 +339,12 @@ class TestSmallWitness:
         with pytest.raises(NoWitnessError):
             small_witness(C5, VertexSet.empty(5))
 
-    def test_kernel_cap(self):
-        with pytest.raises(ResourceLimitError):
-            small_witness(C5, A5, max_kernel_dim=2)
+    def test_kernel_cap(self, monkeypatch):
+        # every vertex of the empty graph is free: kernel dimension 25,
+        # refused before a basis is built, let alone enumerated
+        monkeypatch.setattr(access.gf2, "null_basis", None)
+        with pytest.raises(ResourceLimitError, match="kernel dimension 25 exceeds limit 24"):
+            small_witness(Graph.empty(25), VertexSet.full(25))
 
     def test_minimality_against_brute_force(self):
         rng = random.Random(3)

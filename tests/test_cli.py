@@ -76,6 +76,11 @@ class TestThreshold:
         err = capsys.readouterr().err
         assert code == 3 and "limit" in err
 
+    def test_no_limit_option(self, capsys):
+        # the enumeration cap is access.ENUMERATION_LIMIT, not an option
+        assert cli.run(["threshold", "--limit", "30", "--family", "cycle", "--n", "5"]) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestTieBreakGolden:
     """Witness JSON recorded before the solver moved to vertex coordinates.
@@ -187,17 +192,21 @@ class TestFamilyAndSimulate:
         assert code == 1
         assert doc["oracle_verdict"] == "Blind" and doc["trace_distance"] < 1e-10
 
-    def test_simulate_qubit_limit(self, capsys, monkeypatch):
+    def test_simulate_qubit_limit(self):
         code = cli.run(["simulate", "--family", "cycle", "--n", "13", "--B", "0,1"])
         assert code == 3
-        monkeypatch.setenv("QSS_MAX_QUBITS", "13")
-        code, doc = run_json(
-            capsys, ["simulate", "--family", "cycle", "--n", "13", "--B", "0,1"]
-        )
-        assert code == 1 and doc["oracle_verdict"] == "Blind"
 
 
 class TestProtocolRun:
+    def test_qubit_cap_before_threshold_check(self, capsys):
+        # k = 3 is infeasible on a 13-cycle, but the register is refused first
+        code = cli.run(
+            ["protocol-run", "--family", "cycle", "--n", "13", "--k", "3", "--coalition", "0,1,2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "resource limit: 13 qubits exceeds limit 12\n"
+
     def test_happy_path(self, capsys, c5_file):
         code, doc = run_json(
             capsys,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqss.errors import GraphParseError
+from graphqss import graphs
+from graphqss.errors import GraphParseError, ResourceLimitError
 from graphqss.graphs import (
     _MAX_GRAPH6_N,
     Graph,
@@ -175,11 +176,13 @@ class TestC5Power:
         with pytest.raises(ValueError):
             c5_power(0)
 
-    def test_vertex_cap(self):
-        from graphqss.errors import ResourceLimitError
-
-        with pytest.raises(ResourceLimitError):
-            c5_power(4, max_vertices=400)
+    def test_vertex_cap(self, monkeypatch):
+        # refused before any product is built, and a huge power without
+        # computing 5**i
+        monkeypatch.setattr(graphs, "lexicographic_product", None)
+        for i in (6, 10**7):
+            with pytest.raises(ResourceLimitError, match=f"5\\*\\*{i} vertices exceeds cap 3125"):
+                c5_power(i)
 
 
 class TestEdgeListFormat:

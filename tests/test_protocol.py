@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from graphqss.errors import InsufficientSharesError
+from graphqss import access
+from graphqss.errors import InsufficientSharesError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.protocol import (
     ProtocolConfig,
@@ -98,6 +99,13 @@ class TestDeal:
     def test_identity_assignment_without_extension(self):
         t = deal(ProtocolConfig(C5, A5, 3, seed=0), (1, 0))
         assert t.qubit_holders == (0, 1, 2, 3, 4)
+
+    def test_qubit_cap_refused_before_scanning(self, monkeypatch):
+        # k = 3 is infeasible on a 13-cycle; the register cap decides first
+        monkeypatch.setattr(access, "scan_size_k", None)
+        g = family("cycle", 13)
+        with pytest.raises(ResourceLimitError, match="13 qubits exceeds limit 12"):
+            deal(ProtocolConfig(g, VertexSet.full(13), 3), (0.6, 0.8))
 
 
 class TestReconstruct:

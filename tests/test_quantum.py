@@ -62,11 +62,6 @@ class TestGraphState:
         with pytest.raises(ResourceLimitError):
             graph_state(family("cycle", 13))
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("QSS_MAX_QUBITS", "13")
-        s = graph_state(family("cycle", 13))
-        assert s.amplitudes.shape == (1 << 13,)
-
 
 class TestApplyPauli:
     def test_x_flips(self):
