@@ -9,6 +9,7 @@ from .access import (
     WitnessPair,
     access_report,
     classify_c,
+    edge_mask_graph,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,

@@ -23,7 +23,7 @@ from .graphs import Graph, VertexSet, odd_neighborhood
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
-# n = 7 means 2^21 graphs, estimated at about 7 minutes
+# n = 7 sweeps in seconds, but it has 125,670 labelled attainers to print
 SEARCH_N_LIMIT = 6
 _PARALLEL_MIN_WORK = 200_000
 
@@ -405,26 +405,87 @@ def _member_key(bits: int) -> tuple[int, ...]:
 # -- exhaustive search over labelled graphs --------------------------------------
 
 
-def exhaustive_graph_search(n: int) -> list[tuple[Graph, int]]:
-    """Threshold of every labelled graph on n vertices, in edge-mask order.
+def _edge_pairs(n: int) -> list[tuple[int, int]]:
+    """Vertex pair of each edge-mask bit: (0,1), (0,2), ..., (0,n-1), (1,2), ..."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    The edge bit order is (0,1), (0,2), ..., (0,n-1), (1,2), ... so results
-    are reproducible.  Exponential in n(n-1)/2; refuses n beyond
-    ``SEARCH_N_LIMIT``.
+
+def edge_mask_graph(n: int, mask: int) -> Graph:
+    """The labelled graph on n vertices whose edges are the set bits of mask."""
+    adj = [0] * n
+    for idx, (i, j) in enumerate(_edge_pairs(n)):
+        if (mask >> idx) & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph(n, tuple(adj))
+
+
+def _transposition_tables(n: int) -> list[list[list[int]]]:
+    """Byte lookup tables of the adjacent transpositions (t t+1) on edge masks.
+
+    Table ``[t][p][v]`` is the image under (t t+1) of the edges that byte p
+    of a mask holds when that byte reads v; a mask's image is the OR over its
+    bytes.  The last byte's table covers only the edges that byte holds.
+    """
+    pairs = _edge_pairs(n)
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    tables = []
+    for t in range(n - 1):
+        swap = {t: t + 1, t + 1: t}
+        dest = [index[tuple(sorted((swap.get(i, i), swap.get(j, j))))] for i, j in pairs]
+        per_byte = []
+        for p in range(0, len(dest), 8):
+            bits = dest[p : p + 8]
+            table = [0] * (1 << len(bits))
+            for v in range(1, len(table)):
+                table[v] = table[v & (v - 1)] | (1 << bits[(v & -v).bit_length() - 1])
+            per_byte.append(table)
+        tables.append(per_byte)
+    return tables
+
+
+def exhaustive_graph_search(n: int) -> list[int]:
+    """Threshold k* (with A = V) of every labelled graph on n vertices.
+
+    Entry ``mask`` belongs to ``edge_mask_graph(n, mask)``, whose edge bit
+    order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., so results are
+    reproducible.  One threshold is computed per isomorphism class: masks
+    are walked in ascending order, and the first mask of each class is built
+    and scanned, its k* then labelling the mask's whole orbit under
+    relabelling.  The orbit is closed under the adjacent transpositions
+    (i i+1), which generate S_n, applied to edge masks as fixed bit
+    permutations.
+
+    This is exact.  A relabelling pi maps every size-k coalition B of G to
+    the size-k coalition pi(B) of pi(G), and B is quantum-accessing in G
+    exactly when pi(B) is in pi(G) with the encoding set pi(A); A = V is
+    fixed by every pi, so k*(pi(G)) = k*(G).  Local complementation is not used: at
+    v it maps (G, V) to (G*v, V minus N(v)), so it does not keep A = V.
+
+    Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT``.
     """
     if n > SEARCH_N_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {SEARCH_N_LIMIT}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = _transposition_tables(n)
     a = VertexSet.full(n)
-    out = []
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            if (mask >> idx) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        g = Graph(n, tuple(adj))
-        out.append((g, qstar_threshold(g, a, jobs=1).k_star))
-    return out
+    k_star = [0] * (1 << (n * (n - 1) // 2))  # 0: not labelled yet; k* >= 1
+    for mask, known in enumerate(k_star):
+        if known:
+            continue
+        k = qstar_threshold(edge_mask_graph(n, mask), a, jobs=1).k_star
+        k_star[mask] = k
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            for per_byte in tables:
+                y = 0
+                shift = 0
+                for table in per_byte:
+                    y |= table[(x >> shift) & 255]
+                    shift += 8
+                if not k_star[y]:
+                    k_star[y] = k
+                    stack.append(y)
+    return k_star

@@ -286,15 +286,19 @@ def _cmd_bound(args) -> tuple[dict, int]:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    table = access.exhaustive_graph_search(args.n)
+    k_stars = access.exhaustive_graph_search(args.n)
     histogram: dict[int, int] = {}
-    for _, k_star in table:
+    for k_star in k_stars:
         histogram[k_star] = histogram.get(k_star, 0) + 1
     min_k = min(histogram)
-    attainers = [graphs.serialize_graph(g, "graph6") for g, k in table if k == min_k]
+    attainers = [
+        graphs.serialize_graph(access.edge_mask_graph(args.n, mask), "graph6")
+        for mask, k in enumerate(k_stars)
+        if k == min_k
+    ]
     return {
         "n": args.n,
-        "graphs": len(table),
+        "graphs": len(k_stars),
         "min_k_star": min_k,
         "k_star_histogram": {str(k): v for k, v in sorted(histogram.items())},
         "attainer_count": len(attainers),

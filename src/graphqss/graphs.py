@@ -16,7 +16,7 @@ from .errors import GraphParseError, ResourceLimitError
 DEFAULT_SEED = 0
 
 _MAX_GRAPH6_N = 258047  # 3-byte graph6 size form; the cap for both text formats
-C5_POWER_VERTEX_LIMIT = 3125
+FAMILY_VERTEX_LIMIT = 3125  # every generated graph: family() and c5_power()
 
 
 @dataclass(frozen=True)
@@ -209,8 +209,8 @@ def c5_power(i: int) -> Graph:
         raise ValueError("power must be >= 1")
     # 5**b > 2**b > the cap for b its bit length, so clipping the exponent
     # refuses a huge i without building 5**i
-    if 5 ** min(i, C5_POWER_VERTEX_LIMIT.bit_length()) > C5_POWER_VERTEX_LIMIT:
-        raise ResourceLimitError(f"5**{i} vertices exceeds cap {C5_POWER_VERTEX_LIMIT}")
+    if 5 ** min(i, FAMILY_VERTEX_LIMIT.bit_length()) > FAMILY_VERTEX_LIMIT:
+        raise ResourceLimitError(f"5**{i} vertices exceeds cap {FAMILY_VERTEX_LIMIT}")
     g = family("cycle", 5)
     out = g
     for _ in range(i - 1):
@@ -222,10 +222,13 @@ def family(kind: str, n: int, p: Optional[float] = None, seed: Optional[int] = N
     """Named graph families; deterministic for a fixed seed.
 
     cycle(1) is a single vertex and cycle(2) a single edge (simple graphs
-    cannot carry a doubled 2-cycle).
+    cannot carry a doubled 2-cycle).  Refuses n beyond ``FAMILY_VERTEX_LIMIT``
+    before building any edge list.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > FAMILY_VERTEX_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds generated-graph cap {FAMILY_VERTEX_LIMIT}")
     if kind == "cycle":
         if n <= 2:
             return family("path", n)

@@ -132,13 +132,13 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
     if not support_a.is_subset_of(b):
         raise LocalityError("extraction would touch qubits outside the coalition")
     t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
-    state = quantum.apply_isometry_UD(t.register, g, d)
+    base = quantum.graph_state(g).amplitudes
+    state = quantum._isometry_UD(t.register, g, d, base)
 
     t.log.append(f"step b: correct with C={list(c_wit.members())}")
     state = quantum.apply_controlled_VC(state, g, a, c_wit, allowed=b)
 
     half = 1 << g.n
-    base = quantum.graph_state(g).amplitudes
     amp0 = complex(np.vdot(base, state.amplitudes[:half]))
     amp1 = complex(np.vdot(base, state.amplitudes[half:]))
     residual = np.linalg.norm(state.amplitudes[:half] - amp0 * base) + np.linalg.norm(

@@ -252,11 +252,15 @@ def apply_isometry_UD(s: StateVector, g: Graph, d: VertexSet) -> StateVector:
     """
     if s.n_qubits != g.n:
         raise ValueError("state size does not match graph order")
+    return _isometry_UD(s, g, d, graph_state(g).amplitudes)
+
+
+def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> StateVector:
+    """``apply_isometry_UD`` against the caller's amplitudes of g's graph state."""
     op = stabilizer_for(g, d)
     flipped = apply_pauli(s, op)
     plus = (s.amplitudes + flipped.amplitudes) / 2.0
     minus = (s.amplitudes - flipped.amplitudes) / 2.0
-    base = graph_state(g).amplitudes
     residual = plus - (base.conj() @ plus) * base
     if np.linalg.norm(residual) > ATOL_ZERO_TEST:
         raise ProtocolStateError("register is not a superposition of encoded graph states")

@@ -3,7 +3,8 @@
 Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
-trace-norm kernel.
+trace-norm kernel.  The exhaustive search reference scans every labelled
+graph, never relying on relabelling symmetry.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from graphqss.access import qstar_threshold
 from graphqss.graphs import Graph, VertexSet, odd_neighborhood
 from graphqss.quantum import DensityMatrix
 
@@ -70,6 +72,13 @@ def all_graphs(n: int):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         yield Graph(n, tuple(adj))
+
+
+def labelled_graph_search(n: int) -> list[int]:
+    """k* with A = V of every labelled graph on n vertices, one threshold
+    per graph, in edge-mask order."""
+    a = VertexSet.full(n)
+    return [qstar_threshold(g, a, jobs=1).k_star for g in all_graphs(n)]
 
 
 def induced_edge_count(g: Graph, support: int) -> int:

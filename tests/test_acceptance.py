@@ -16,6 +16,7 @@ from graphqss.access import (
     CVerdict,
     QVerdict,
     classify_c,
+    edge_mask_graph,
     exhaustive_graph_search,
     q_accessing,
     q_classify,
@@ -299,12 +300,12 @@ def test_criterion_09_bounds_module():
 
 def test_criterion_10_exhaustive_five_vertex_search():
     t0 = time.perf_counter()
-    table = exhaustive_graph_search(5)
+    k_stars = exhaustive_graph_search(5)
     elapsed = time.perf_counter() - t0
-    assert len(table) == 1024
-    best = min(k for _, k in table)
+    assert len(k_stars) == 1024
+    best = min(k_stars)
     assert best == 3
-    attainers = [g for g, k in table if k == best]
+    attainers = [edge_mask_graph(5, m) for m, k in enumerate(k_stars) if k == best]
     assert len(attainers) == 12
     assert all(is_isomorphic(g, C5) for g in attainers)
     assert elapsed < 10.0

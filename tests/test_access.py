@@ -10,6 +10,7 @@ from graphqss.access import (
     QVerdict,
     access_report,
     classify_c,
+    edge_mask_graph,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,
@@ -30,7 +31,12 @@ from graphqss.graphs import (
     lexicographic_product,
     odd_neighborhood,
 )
-from helpers import all_graphs, brute_accessing_witness, brute_blind_witness
+from helpers import (
+    all_graphs,
+    brute_accessing_witness,
+    brute_blind_witness,
+    labelled_graph_search,
+)
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -374,8 +380,8 @@ class TestSmallWitness:
 
 class TestExhaustiveSearch:
     def test_tiny(self):
-        assert [k for _, k in exhaustive_graph_search(1)] == [1]
-        assert min(k for _, k in exhaustive_graph_search(2)) == 2
+        assert exhaustive_graph_search(1) == [1]
+        assert min(exhaustive_graph_search(2)) == 2
 
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -384,4 +390,38 @@ class TestExhaustiveSearch:
     def test_deterministic_order(self):
         a = exhaustive_graph_search(3)
         b = exhaustive_graph_search(3)
-        assert [g.adj for g, _ in a] == [g.adj for g, _ in b]
+        assert a == b
+        # bit i of the mask is the i-th pair of (0,1), (0,2), (1,2)
+        assert [list(edge_mask_graph(3, 1 << i).edges()) for i in range(3)] == [
+            [(0, 1)],
+            [(0, 2)],
+            [(1, 2)],
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_labelled_reference(self, n):
+        assert exhaustive_graph_search(n) == labelled_graph_search(n)
+
+    def test_n6_histogram_and_attainers(self):
+        k_stars = exhaustive_graph_search(6)
+        assert len(k_stars) == 1 << 15
+        histogram = {k: k_stars.count(k) for k in set(k_stars)}
+        assert histogram == {4: 360, 5: 21770, 6: 10638}
+        attainers = [m for m, k in enumerate(k_stars) if k == 4]
+        assert len(attainers) == 360
+        assert all(qstar_threshold(edge_mask_graph(6, m)).k_star == 4 for m in attainers)
+
+    def test_one_threshold_per_isomorphism_class(self, monkeypatch):
+        calls = []
+        scan = access.qstar_threshold
+
+        def counting(g, *args, **kwargs):
+            calls.append(g.n)
+            return scan(g, *args, **kwargs)
+
+        monkeypatch.setattr(access, "qstar_threshold", counting)
+        for n in range(1, 7):
+            exhaustive_graph_search(n)
+        counts = [calls.count(n) for n in range(1, 7)]
+        # unlabelled graphs on n vertices, OEIS A000088
+        assert counts == [1, 2, 4, 11, 34, 156]

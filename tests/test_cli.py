@@ -280,6 +280,12 @@ class TestErrorsAndFormats:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_family_vertex_cap(self, capsys):
+        assert cli.run(["family", "--family", "complete", "--n", "3126"]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource limit: n=3126 exceeds generated-graph cap 3125\n"
+
     def test_parse_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("2\n0 0\n")

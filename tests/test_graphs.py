@@ -278,6 +278,15 @@ class TestFamilies:
         with pytest.raises(ValueError):
             family("random", 5, p=1.5)
 
+    def test_vertex_cap(self, monkeypatch):
+        assert family("path", graphs.FAMILY_VERTEX_LIMIT).n == 3125
+        # refused before any edge list is built
+        monkeypatch.setattr(Graph, "from_edges", None)
+        n = graphs.FAMILY_VERTEX_LIMIT + 1
+        for kind, p in (("cycle", None), ("path", None), ("complete", None), ("random", 0.5)):
+            with pytest.raises(ResourceLimitError, match="n=3126 exceeds generated-graph cap 3125"):
+                family(kind, n, p=p)
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family("torus", 5)

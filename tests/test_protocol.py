@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from graphqss import access
+from graphqss import access, quantum
 from graphqss.errors import InsufficientSharesError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.protocol import (
@@ -147,6 +147,20 @@ class TestReconstruct:
         t = deal(cfg, (0.6, 0.8))
         with pytest.raises(InsufficientSharesError):
             reconstruct(t, [0, 1, 2, 3])
+
+    def test_graph_state_built_once(self, monkeypatch):
+        t = deal(ProtocolConfig(C5, A5, 3, seed=2), (0.6, 0.8))
+        built = []
+        build = quantum.graph_state
+
+        def counting(g):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(quantum, "graph_state", counting)
+        rec = reconstruct(t, [0, 2, 4])
+        assert built == [C5]
+        assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_log_records_steps(self):
         t = deal(ProtocolConfig(C5, A5, 3, seed=1), (1, 0))
