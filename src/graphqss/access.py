@@ -5,7 +5,8 @@ inside B and odd overlap with the encoding set A, and *blind* when some C in
 the complement of B reproduces A's pattern on B.  Exactly one of the two
 always holds, decided by whether the A-pattern on B lies in the row space of
 the cut matrix.  Quantum accessibility combines the verdicts of B and its
-complement.  Everything here is exact GF(2) arithmetic on bitmasks.
+complement.  Every verdict is exact GF(2) arithmetic on bitmasks; the
+exhaustive search labels relabelling orbits with NumPy integer arrays.
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from math import comb
 from multiprocessing import Pool
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
 from .graphs import Graph, VertexSet, odd_neighborhood
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
-# n = 7 sweeps in seconds, but it has 125,670 labelled attainers to print
+# n = 7 sweeps in under a second, but it has 125,670 labelled attainers to
+# print; checked before the 2^(n(n-1)/2)-entry label arrays are built
 SEARCH_N_LIMIT = 6
 _PARALLEL_MIN_WORK = 200_000
 
@@ -444,48 +448,76 @@ def _transposition_tables(n: int) -> list[list[list[int]]]:
     return tables
 
 
+def _orbit_minima(n: int) -> np.ndarray:
+    """Smallest mask of every edge mask's relabelling orbit, by the fixed
+    point that ``exhaustive_graph_search`` describes.  Its image arrays are
+    freed before any threshold is scanned."""
+    size = 1 << (n * (n - 1) // 2)
+    label = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    images = []
+    for per_byte in _transposition_tables(n):
+        img = np.zeros_like(label)
+        for p, table in enumerate(per_byte):
+            img |= np.asarray(table, dtype=label.dtype)[(label >> (8 * p)) & 255]
+        images.append(img)
+    while True:
+        new = label
+        for img in images:
+            new = np.minimum(new, new[img])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def exhaustive_graph_search(n: int) -> list[int]:
     """Threshold k* (with A = V) of every labelled graph on n vertices.
 
     Entry ``mask`` belongs to ``edge_mask_graph(n, mask)``, whose edge bit
     order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., so results are
-    reproducible.  One threshold is computed per isomorphism class: masks
-    are walked in ascending order, and the first mask of each class is built
-    and scanned, its k* then labelling the mask's whole orbit under
-    relabelling.  The orbit is closed under the adjacent transpositions
-    (i i+1), which generate S_n, applied to edge masks as fixed bit
-    permutations.
+    reproducible.  One threshold is computed per isomorphism class: each
+    mask is labelled with the smallest mask of its orbit under relabelling,
+    the graphs of those smallest masks are scanned in ascending order, and
+    each k* then labels its whole orbit.  The orbit is closed under the
+    adjacent transpositions (i i+1), which generate S_n, applied to edge
+    masks as fixed bit permutations.
 
-    This is exact.  A relabelling pi maps every size-k coalition B of G to
-    the size-k coalition pi(B) of pi(G), and B is quantum-accessing in G
+    The labelling is whole-array NumPy work, in the narrowest unsigned type
+    that holds every mask.  One image array per transposition holds the
+    image of every mask.  Starting from ``label[x] = x``, each round lowers
+    ``label[x]`` to ``label[img[x]]`` for every image in turn, then
+    pointer-jumps ``label = label[label]``; it stops at the first round that
+    changes nothing.  This is exact:
+
+    - every label is a mask in the same orbit, as both steps only copy the
+      label of a mask in that orbit;
+    - the transpositions are involutions, so at the fixed point
+      ``label[x] <= label[img[x]]`` and ``label[img[x]] <= label[x]``: the
+      label is constant along every generator edge, hence on the orbit;
+    - labels never rise above their mask, so the orbit's minimum keeps its
+      own label, and the constant is that minimum.
+
+    The orbit minimum is the first mask of its orbit in ascending order, so
+    the scanned graphs and their order do not depend on how labels spread.
+
+    Relabelling keeps k*.  A relabelling pi maps every size-k coalition B of
+    G to the size-k coalition pi(B) of pi(G), and B is quantum-accessing in G
     exactly when pi(B) is in pi(G) with the encoding set pi(A); A = V is
-    fixed by every pi, so k*(pi(G)) = k*(G).  Local complementation is not used: at
-    v it maps (G, V) to (G*v, V minus N(v)), so it does not keep A = V.
+    fixed by every pi, so k*(pi(G)) = k*(G).  Local complementation is not
+    used: at v it maps (G, V) to (G*v, V minus N(v)), so it does not keep
+    A = V.
 
-    Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT``.
+    Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
+    table or array is built.
     """
     if n > SEARCH_N_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {SEARCH_N_LIMIT}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    tables = _transposition_tables(n)
+    label = _orbit_minima(n)
+    reps = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
     a = VertexSet.full(n)
-    k_star = [0] * (1 << (n * (n - 1) // 2))  # 0: not labelled yet; k* >= 1
-    for mask, known in enumerate(k_star):
-        if known:
-            continue
-        k = qstar_threshold(edge_mask_graph(n, mask), a, jobs=1).k_star
-        k_star[mask] = k
-        stack = [mask]
-        while stack:
-            x = stack.pop()
-            for per_byte in tables:
-                y = 0
-                shift = 0
-                for table in per_byte:
-                    y |= table[(x >> shift) & 255]
-                    shift += 8
-                if not k_star[y]:
-                    k_star[y] = k
-                    stack.append(y)
-    return k_star
+    k_of = np.zeros_like(label)
+    for r in reps.tolist():
+        k_of[r] = qstar_threshold(edge_mask_graph(n, r), a, jobs=1).k_star
+    return k_of[label].tolist()

@@ -383,9 +383,19 @@ class TestExhaustiveSearch:
         assert exhaustive_graph_search(1) == [1]
         assert min(exhaustive_graph_search(2)) == 2
 
-    def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            exhaustive_graph_search(8)
+    def test_resource_cap(self, monkeypatch):
+        # refused before any table or array is built: at n = 12 the label
+        # array alone would have 2^66 entries
+        def fail(*args, **kwargs):
+            raise AssertionError("allocated before the cap was checked")
+
+        monkeypatch.setattr(access, "_transposition_tables", fail)
+        monkeypatch.setattr("numpy.arange", fail)
+        for n in (7, 8, 12):
+            with pytest.raises(ResourceLimitError, match=f"n={n} exceeds exhaustive search limit 6"):
+                exhaustive_graph_search(n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            exhaustive_graph_search(0)
 
     def test_deterministic_order(self):
         a = exhaustive_graph_search(3)
@@ -398,7 +408,7 @@ class TestExhaustiveSearch:
             [(1, 2)],
         ]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_labelled_reference(self, n):
         assert exhaustive_graph_search(n) == labelled_graph_search(n)
 
@@ -412,16 +422,29 @@ class TestExhaustiveSearch:
         assert all(qstar_threshold(edge_mask_graph(6, m)).k_star == 4 for m in attainers)
 
     def test_one_threshold_per_isomorphism_class(self, monkeypatch):
-        calls = []
+        scanned = {n: [] for n in range(1, 7)}
         scan = access.qstar_threshold
 
-        def counting(g, *args, **kwargs):
-            calls.append(g.n)
+        def edge_mask(n, edges):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            return sum(1 << pairs.index((min(u, v), max(u, v))) for u, v in edges)
+
+        def recording(g, *args, **kwargs):
+            scanned[g.n].append(edge_mask(g.n, g.edges()))
             return scan(g, *args, **kwargs)
 
-        monkeypatch.setattr(access, "qstar_threshold", counting)
+        monkeypatch.setattr(access, "qstar_threshold", recording)
         for n in range(1, 7):
             exhaustive_graph_search(n)
-        counts = [calls.count(n) for n in range(1, 7)]
         # unlabelled graphs on n vertices, OEIS A000088
-        assert counts == [1, 2, 4, 11, 34, 156]
+        assert [len(scanned[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+        for masks in scanned.values():
+            assert masks == sorted(set(masks))
+        # each scanned graph is the smallest mask among its relabellings
+        for mask in scanned[5]:
+            edges = list(edge_mask_graph(5, mask).edges())
+            relabelled = [
+                edge_mask(5, [(perm[u], perm[v]) for u, v in edges])
+                for perm in itertools.permutations(range(5))
+            ]
+            assert mask == min(relabelled)

@@ -266,12 +266,16 @@ class TestSearch:
         assert cli.run(["search", "--n", "8"]) == 3
 
     def test_n7_refused_before_enumerating(self, capsys, monkeypatch):
-        # 2^21 graphs; a search would call the threshold before the refusal
+        # 2^21 graphs at n = 7 and 2^66 at n = 12: refused before any
+        # table, array or threshold
         monkeypatch.setattr(access, "qstar_threshold", None)
-        assert cli.run(["search", "--n", "7"]) == cli.EXIT_RESOURCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("resource limit:") and captured.err.count("\n") == 1
+        monkeypatch.setattr(access, "_transposition_tables", None)
+        monkeypatch.setattr("numpy.arange", None)
+        for n in ("7", "12"):
+            assert cli.run(["search", "--n", n]) == cli.EXIT_RESOURCE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"resource limit: n={n} exceeds exhaustive search limit 6\n"
 
 
 class TestErrorsAndFormats:
