@@ -8,22 +8,33 @@ is a necessary condition for a graph on n vertices to realize threshold k
 (in the regime k > n/2 forced by no-cloning).  The sum's upper limit is
 floored, the only consistent reading for a summation index, and binomials
 with out-of-range lower index are 0.
+
+The sweeps decide the inequality without building the whole sum.  In the
+regime, u = floor(2(n-k+1)/3) satisfies 3u <= n + 1, so for i <= u each
+term C(n, i - 1) = C(n, i) * i / (n - i + 1) is at most half of C(n, i).
+The terms below any lo <= u therefore add up to less than C(n, lo), and
+the partial sum over lo..u brackets the whole sum from both sides.  A
+verdict that holds against both ends of the bracket is the exact verdict;
+the bracket is widened only while it straddles the left-hand side, and it
+is exact once it reaches i = 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
+from itertools import compress
+from math import isqrt, prod
 from typing import Optional
 
 from .errors import ResourceLimitError
 
-# the exact scan takes about 1.2 s at n = 10^5 on a 2-core host, growing about
-# as n^2
+# min_feasible_k builds two binomials and brackets the sum from its top
+# terms: about 0.06 s at n = 10^5 on a 2-core host.  counting_inequality
+# sums all of its terms, which is O(n^2), and shares the cap
 MIN_K_N_LIMIT = 100_000
-# the exact pure-QSS scan takes 0.02 s at max_k = 400 and about 0.23 s at
-# 1,000 on a 2-core host, growing faster than max_k^2
+# the pure-QSS scan steps n = 2k - 1 by Pascal's rule: about 0.5 ms at
+# max_k = 400 and 2 ms at 1,000 on a 2-core host
 PURE_QSS_MAX_K_LIMIT = 1000
 
 
@@ -57,14 +68,58 @@ class PureQssReport:
     scan_matches_chain: bool
 
 
-def _comb0(n: int, k: int) -> int:
-    if k < 0 or k > n:
+def _primes(n: int) -> list[int]:
+    """Every prime up to n, by a bytearray sieve."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _binomial(n: int, k: int, primes: Optional[list[int]] = None) -> int:
+    """C(n, k), or 0 for k outside 0..n, from its prime factorisation.
+
+    Legendre's formula gives each prime's exponent, and a balanced product
+    tree multiplies the prime powers, so no big division is done.  ``primes``
+    must list every prime up to n; callers building several binomials of one
+    n pass one sieve.
+    """
+    if not 0 <= k <= n:
         return 0
-    return comb(n, k)
+    k = min(k, n - k)
+    if primes is None:
+        primes = _primes(n)
+    root, half = bisect_right(primes, isqrt(n)), bisect_right(primes, n // 2)
+    factors = []
+    for p in primes[:root]:
+        e, q = 0, p
+        while q <= n:
+            e += n // q - k // q - (n - k) // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    # above sqrt(n) only p itself divides, so each exponent is 0 or 1; above
+    # n/2 it is 1 exactly for the primes above n - k
+    factors += [p for p in primes[root:half] if n // p - k // p - (n - k) // p]
+    factors += primes[bisect_right(primes, n - k) : bisect_right(primes, n)]
+    return _product(factors)
 
 
-def _binomial_sum(n: int, upper: int) -> tuple[int, int]:
-    """Return (sum of C(n, i) for i = 1..upper, C(n, upper)).
+def _product(factors: list[int]) -> int:
+    """Product by a balanced tree, so each big multiplication meets operands
+    of like size; short runs of small factors are multiplied in one call."""
+    if len(factors) <= 16:
+        return prod(factors)
+    mid = len(factors) // 2
+    return _product(factors[:mid]) * _product(factors[mid:])
+
+
+def _binomial_sum(n: int, upper: int) -> int:
+    """Sum of C(n, i) for i = 1..upper.
 
     Walks C(n, i) = C(n, i - 1) * (n - i + 1) / i; every division is exact.
     """
@@ -72,27 +127,49 @@ def _binomial_sum(n: int, upper: int) -> tuple[int, int]:
     for i in range(1, upper + 1):
         c = c * (n - i + 1) // i
         total += c
-    return total, c
+    return total
+
+
+def _at_most(a: int, x: int, y: int) -> bool:
+    """a <= x * y for non-negative ints, from bit lengths unless they tie."""
+    if not x or not y:
+        return a <= 0
+    bits_a, bits_xy = a.bit_length(), x.bit_length() + y.bit_length()
+    if bits_a < bits_xy - 1:  # x * y has bits_xy - 1 or bits_xy bits
+        return True
+    if bits_a > bits_xy:
+        return False
+    return a <= x * y
 
 
 def counting_inequality(n: int, k: int) -> BoundReport:
-    """Evaluate the double-counting inequality exactly."""
+    """Evaluate the double-counting inequality exactly.
+
+    The right-hand side is the whole sum, O(n^2) to build, so n above
+    ``MIN_K_N_LIMIT`` is refused before any binomial is built.
+    """
     if not n // 2 < k <= n:
         raise ValueError("need n/2 < k <= n (no-cloning regime)")
-    lhs = comb(n, k)
+    if n > MIN_K_N_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds counting-bound limit {MIN_K_N_LIMIT}")
+    primes = _primes(n)
+    lhs = _binomial(n, k, primes)
     upper = (2 * (n - k + 1)) // 3
-    small = _comb0(k - 1, 2 * k - n - 1)
-    rhs = 2 * _binomial_sum(n, upper)[0] * small
+    small = _binomial(k - 1, 2 * k - n - 1, primes)
+    rhs = 2 * _binomial_sum(n, upper) * small
     return BoundReport(n, k, lhs, rhs, lhs <= rhs)
 
 
 def min_feasible_k(n: int) -> int:
     """Smallest k above n/2 passing the counting inequality; exact scan.
 
-    The sum is built once, at the first k; as k grows, C(n, k) and the sum's
-    shrinking upper limit are stepped by exact ratio recurrences rather than
-    recomputed, so n = 100,000 takes about a second.  Refuses n above
-    ``MIN_K_N_LIMIT`` before any binomial is built.
+    C(n, k) and the top term C(n, u) are built once, from one sieve, at the
+    first k; as k grows they and C(k - 1, 2k - n - 1) are stepped by exact
+    ratio recurrences.  The sum is held as the window lo..u of its top terms
+    plus C(n, lo), which bracket it (see the module docstring): each k is
+    decided against both ends, and the window doubles downward only while
+    they disagree.  n = 100,000 takes about 0.06 s on a 2-core host.
+    Refuses n above ``MIN_K_N_LIMIT`` before any binomial is built.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
@@ -100,41 +177,70 @@ def min_feasible_k(n: int) -> int:
         raise ResourceLimitError(f"n={n} exceeds min-k scan limit {MIN_K_N_LIMIT}")
     k = n // 2 + 1
     upper = (2 * (n - k + 1)) // 3
-    total, c_upper = _binomial_sum(n, upper)
-    c_k = comb(n, k)
+    primes = _primes(n)
+    c_k = _binomial(n, k, primes)
+    c_upper = _binomial(n, upper, primes)
+    # C(k - 1, 2k - n - 1): the lower index starts at 0 (n odd) or 1 (n even)
+    small = k - 1 if n % 2 == 0 else 1
+    lo, c_lo, known = upper, c_upper, c_upper  # known = sum of C(n, lo..upper)
     while True:
-        if c_k <= 2 * total * _comb0(k - 1, 2 * k - n - 1):
-            return k
+        while True:
+            if _at_most(c_k, known, 2 * small):
+                return k
+            if lo == 1 or not _at_most(c_k, known + c_lo, 2 * small):
+                break
+            new_lo = max(1, 2 * lo - upper - 1)
+            for i in range(lo, new_lo, -1):
+                c_lo = c_lo * i // (n - i + 1)
+                known += c_lo
+            lo = new_lo
         if k == n:
             raise RuntimeError(f"counting inequality holds for no k on n={n}")
+        j = 2 * k - n - 1
         c_k = c_k * (n - k) // (k + 1)
+        small = small * k * (k - 1 - j) // ((j + 1) * (j + 2))
         k += 1
         while upper > (2 * (n - k + 1)) // 3:
-            total -= c_upper
+            known -= c_upper
             c_upper = c_upper * upper // (n - upper + 1)
             upper -= 1
+        if lo > upper > 0:  # the window emptied: restart from the top term
+            lo, c_lo, known = upper, c_upper, c_upper
 
 
 def pure_qss_feasibility(max_k: int = 100) -> PureQssReport:
     """Scan all n = 2k - 1 up to k = max_k against the counting inequality.
 
-    Refuses max_k above ``PURE_QSS_MAX_K_LIMIT`` before scanning.
+    Here C(k - 1, 2k - n - 1) = 1, so the inequality reads
+    C(n, k) <= 2 * (S(n, u) - 1) with S(n, u) = sum_{i=0..u} C(n, i) and
+    u = floor(2k/3).  One walk steps n by 2 with Pascal's rule,
+    S(m + 1, u) = 2 * S(m, u) - C(m, u), raises u when it grows, and steps
+    C(2k - 1, k) by its ratio.  Refuses max_k above ``PURE_QSS_MAX_K_LIMIT``
+    before scanning.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     if max_k > PURE_QSS_MAX_K_LIMIT:
         raise ResourceLimitError(f"max_k={max_k} exceeds pure-QSS scan limit {PURE_QSS_MAX_K_LIMIT}")
     rows = []
+    u = 0
+    total, c_u, c_k = 1, 1, 1  # S(m, u), C(m, u), C(m, k) at m = 2k - 1
     for k in range(1, max_k + 1):
-        n = 2 * k - 1
-        rows.append((k, n, counting_inequality(n, k).holds))
+        m = 2 * k - 1
+        rows.append((k, m, c_k <= 2 * total - 2))
+        c_next = c_u * (m + 1) // (m + 1 - u)
+        total = 4 * total - 2 * c_u - c_next  # two Pascal steps
+        c_u = c_next * (m + 2) // (m + 2 - u)
+        c_k = c_k * (4 * k + 2) // (k + 1)
+        if (2 * k + 2) // 3 > u:
+            u += 1
+            c_u = c_u * (m + 3 - u) // u
+            total += c_u
     holding = [n for _, n, ok in rows if ok]
     failing = [n for _, n, ok in rows if not ok]
-    # exact version of the asymptotic chain: k >= (2k-1) * (1/2 + 1/157)
-    ratio = Fraction(1, 2) + Fraction(1, 157)
-    chain_k_max = 1
-    while Fraction(chain_k_max + 1) >= (2 * (chain_k_max + 1) - 1) * ratio:
-        chain_k_max += 1
+    # the asymptotic chain k >= (2k - 1) * (1/2 + 1/157), times 314, is
+    # 314k >= 159 * (2k - 1), that is 4k <= 159
+    chain_k_max = 159 // 4
     chain_n_max = 2 * chain_k_max - 1
     largest_holding = max(holding) if holding else None
     return PureQssReport(

@@ -42,15 +42,29 @@ def _parse_set(text: str, universe: int, what: str) -> graphs.VertexSet:
     return graphs.VertexSet.from_iterable(universe, members)
 
 
-def _load_graph(args: argparse.Namespace) -> graphs.Graph:
+def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> graphs.Graph:
+    """The graph named by --graph or --family.
+
+    A command whose library call refuses graphs over ``vertex_cap`` vertices
+    passes that cap.  A generated graph over it is returned edgeless, after
+    the builder's own argument checks: the command refuses it on its order,
+    with the same message and after the same input checks as the full graph,
+    and it is never built.
+    """
     if getattr(args, "family", None):
         name = args.family
         if name == "c5pow":
             if args.i is None:
                 raise GraphParseError("--family c5pow requires --i")
+            order = graphs.c5_power_order(args.i)
+        else:
+            if args.n is None:
+                raise GraphParseError(f"--family {name} requires --n")
+            order = graphs.family_order(name, args.n, p=args.p)
+        if vertex_cap is not None and order > vertex_cap:
+            return graphs.Graph.empty(order)
+        if name == "c5pow":
             return graphs.c5_power(args.i)
-        if args.n is None:
-            raise GraphParseError(f"--family {name} requires --n")
         return graphs.family(name, args.n, p=args.p, seed=args.seed)
     if getattr(args, "graph", None):
         if args.graph == "-":
@@ -181,7 +195,7 @@ def _cmd_witness(args) -> tuple[dict, int]:
 
 
 def _cmd_threshold(args) -> tuple[dict, int]:
-    g = _load_graph(args)
+    g = _load_graph(args, access.ENUMERATION_LIMIT)
     a, _ = _sets(args, g)
     report = access.qstar_threshold(g, a)
     return {
@@ -209,7 +223,7 @@ def _cmd_family(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    g = _load_graph(args)
+    g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, b = _sets(args, g)
     ov, dist = quantum.distinguishability(g, a, b)
     if ov < quantum.ATOL_ZERO_TEST:
@@ -233,7 +247,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_protocol_run(args) -> tuple[dict, int]:
-    g = _load_graph(args)
+    g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, _ = _sets(args, g)
     try:
         sa, sb = (float(tok) for tok in args.secret.split(","))
@@ -275,6 +289,7 @@ def _cmd_bound(args) -> tuple[dict, int]:
     if args.n is None or args.k is None:
         raise GraphParseError("bound requires --n and --k (or --min-k / --pure-qss)")
     report = bounds.counting_inequality(args.n, args.k)
+    _check_printable(lhs=report.lhs, rhs=report.rhs)
     doc = {
         "n": report.n,
         "k": report.k,
@@ -283,6 +298,17 @@ def _cmd_bound(args) -> tuple[dict, int]:
         "holds": report.holds,
     }
     return doc, EXIT_OK if report.holds else EXIT_NEGATIVE
+
+
+def _check_printable(**values: int) -> None:
+    """Refuse an integer longer than the interpreter's int-to-str limit,
+    which json.dumps would otherwise raise on after the work is done."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    for name, value in values.items():
+        if value >= 10**limit:
+            raise ResourceLimitError(f"{name} has more than {limit} digits, the int-to-str limit")
 
 
 def _cmd_search(args) -> tuple[dict, int]:

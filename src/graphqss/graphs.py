@@ -203,19 +203,43 @@ def lexicographic_product(g1: Graph, g2: Graph) -> Graph:
     return Graph(n1 * n2, tuple(adj))
 
 
-def c5_power(i: int) -> Graph:
-    """Iterated lexicographic power of the 5-cycle; 5**i vertices."""
+def c5_power_order(i: int) -> int:
+    """Vertex count 5**i of ``c5_power(i)``, after every check it makes
+    before building anything."""
     if i < 1:
         raise ValueError("power must be >= 1")
     # 5**b > 2**b > the cap for b its bit length, so clipping the exponent
     # refuses a huge i without building 5**i
     if 5 ** min(i, FAMILY_VERTEX_LIMIT.bit_length()) > FAMILY_VERTEX_LIMIT:
         raise ResourceLimitError(f"5**{i} vertices exceeds cap {FAMILY_VERTEX_LIMIT}")
+    return 5**i
+
+
+def c5_power(i: int) -> Graph:
+    """Iterated lexicographic power of the 5-cycle; 5**i vertices."""
+    c5_power_order(i)
     g = family("cycle", 5)
     out = g
     for _ in range(i - 1):
         out = lexicographic_product(g, out)
     return out
+
+
+_FAMILIES = ("cycle", "complete", "path", "random")
+
+
+def family_order(kind: str, n: int, p: Optional[float] = None) -> int:
+    """Vertex count n of ``family(kind, n, p)``, after every check it makes
+    before building any edge list."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > FAMILY_VERTEX_LIMIT:
+        raise ResourceLimitError(f"n={n} exceeds generated-graph cap {FAMILY_VERTEX_LIMIT}")
+    if kind == "random" and (p is None or not 0.0 <= p <= 1.0):
+        raise ValueError("random family needs edge probability p in [0, 1]")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown family {kind!r}")
+    return n
 
 
 def family(kind: str, n: int, p: Optional[float] = None, seed: Optional[int] = None) -> Graph:
@@ -225,10 +249,7 @@ def family(kind: str, n: int, p: Optional[float] = None, seed: Optional[int] = N
     cannot carry a doubled 2-cycle).  Refuses n beyond ``FAMILY_VERTEX_LIMIT``
     before building any edge list.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > FAMILY_VERTEX_LIMIT:
-        raise ResourceLimitError(f"n={n} exceeds generated-graph cap {FAMILY_VERTEX_LIMIT}")
+    family_order(kind, n, p)
     if kind == "cycle":
         if n <= 2:
             return family("path", n)
@@ -237,13 +258,10 @@ def family(kind: str, n: int, p: Optional[float] = None, seed: Optional[int] = N
         return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "path":
         return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "random":
-        if p is None or not 0.0 <= p <= 1.0:
-            raise ValueError("random family needs edge probability p in [0, 1]")
-        rng = random.Random(DEFAULT_SEED if seed is None else seed)
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        return Graph.from_edges(n, edges)
-    raise ValueError(f"unknown family {kind!r}")
+    # family_order has refused every other kind
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return Graph.from_edges(n, edges)
 
 
 # -- text formats --------------------------------------------------------------

@@ -4,12 +4,14 @@ Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
 trace-norm kernel.  The exhaustive search reference scans every labelled
-graph, never relying on relabelling symmetry.
+graph, never relying on relabelling symmetry, and the min-k reference
+builds the whole counting sum, never bracketing it.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -99,3 +101,27 @@ def trace_distance(rho0: DensityMatrix, rho1: DensityMatrix) -> float:
     """Trace norm of rho0 - rho1 by a dense eigen-solve."""
     eig = np.linalg.eigvalsh(rho0.matrix - rho1.matrix)
     return float(np.abs(eig).sum())
+
+
+def full_sum_min_feasible_k(n: int) -> int:
+    """Smallest k above n/2 passing the counting inequality.  The whole sum
+    is built at the first k; C(n, k) and the sum are then stepped by exact
+    ratio recurrences, and C(k - 1, 2k - n - 1) comes from math.comb."""
+    k = n // 2 + 1
+    upper = (2 * (n - k + 1)) // 3
+    total, c_upper = 0, 1  # sum of C(n, 1..upper), C(n, upper)
+    for i in range(1, upper + 1):
+        c_upper = c_upper * (n - i + 1) // i
+        total += c_upper
+    c_k = comb(n, k)
+    while True:
+        if c_k <= 2 * total * comb(k - 1, 2 * k - n - 1):
+            return k
+        if k == n:
+            raise RuntimeError(f"counting inequality holds for no k on n={n}")
+        c_k = c_k * (n - k) // (k + 1)
+        k += 1
+        while upper > (2 * (n - k + 1)) // 3:
+            total -= c_upper
+            c_upper = c_upper * upper // (n - upper + 1)
+            upper -= 1

@@ -1,14 +1,19 @@
+import random
 from math import comb
 
 import pytest
 
 from graphqss.bounds import (
     MIN_K_N_LIMIT,
+    _binomial,
     _binomial_sum,
+    _primes,
     counting_inequality,
     min_feasible_k,
     pure_qss_feasibility,
 )
+from graphqss.errors import ResourceLimitError
+from helpers import full_sum_min_feasible_k
 
 
 def pascal_table(limit):
@@ -54,7 +59,7 @@ class TestCountingInequality:
         rows = pascal_table(60)
         for n in range(61):
             for upper in range(n + 1):
-                assert _binomial_sum(n, upper) == (sum(rows[n][1 : upper + 1]), rows[n][upper])
+                assert _binomial_sum(n, upper) == sum(rows[n][1 : upper + 1])
 
     def test_every_regime_pair_against_direct_sum(self):
         # covers k = n (upper = 0) and k = n//2 + 1 for both parities of n
@@ -65,6 +70,31 @@ class TestCountingInequality:
                 r = counting_inequality(n, k)
                 assert r.lhs == comb(n, k)
                 assert r.rhs == 2 * sum(comb(n, i) for i in range(1, upper + 1)) * small
+
+    def test_refused_above_the_cap_before_any_binomial(self, monkeypatch):
+        monkeypatch.setattr("graphqss.bounds._primes", None)
+        with pytest.raises(ResourceLimitError):
+            counting_inequality(MIN_K_N_LIMIT + 1, MIN_K_N_LIMIT + 1)
+
+
+class TestBinomial:
+    def test_against_math_comb(self):
+        for n in range(301):
+            primes = _primes(n)
+            for k in range(-1, n + 2):
+                expected = comb(n, k) if 0 <= k <= n else 0
+                assert _binomial(n, k, primes) == expected
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [(100_000, 50_001), (2**16, 2**15), (2**16, 100), (3**10, 3**9), (5**7, 31_250), (7**5, 4_321)],
+    )
+    def test_large_and_prime_power_n(self, n, k):
+        assert _binomial(n, k) == comb(n, k)
+
+    def test_sieve(self):
+        for n in range(60):
+            assert _primes(n) == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
 
 
 class TestMinFeasibleK:
@@ -77,6 +107,27 @@ class TestMinFeasibleK:
                 k for k in range(n // 2 + 1, n + 1) if counting_inequality(n, k).holds
             )
             assert min_feasible_k(n) == naive
+
+    def test_matches_full_sum_reference(self):
+        # most n from 13 on widen the bracket below its top term; a scan
+        # that never widens, or decides failure without the C(n, lo)
+        # slack, gives a wrong k on some n here
+        for n in range(5, 3001):
+            assert min_feasible_k(n) == full_sum_min_feasible_k(n)
+
+    def test_matches_full_sum_reference_at_seeded_n(self):
+        # log-uniform on 3,000..MIN_K_N_LIMIT: the reference is O(n^2)
+        rng = random.Random(11)
+        for _ in range(10):
+            n = round(3_000 * (MIN_K_N_LIMIT / 3_000) ** rng.random())
+            assert min_feasible_k(n) == full_sum_min_feasible_k(n)
+
+    def test_feasible_k_form_an_interval(self):
+        # a walk over n that carries k from one n to the next relies on
+        # this: the inequality holds exactly for k in [min_feasible_k(n), n - 1]
+        for n in range(5, 301):
+            holding = [k for k in range(n // 2 + 1, n + 1) if counting_inequality(n, k).holds]
+            assert holding == list(range(min_feasible_k(n), n))
 
     def test_always_above_half(self):
         for n in (100, 1000):
@@ -114,7 +165,8 @@ class TestPureQssScan:
         assert rep.stated_cutoff_n == 79
 
     def test_rows_match_direct_evaluation(self):
-        rep = pure_qss_feasibility(30)
+        rep = pure_qss_feasibility(1000)
+        assert len(rep.rows) == 1000
         for k, n, holds in rep.rows:
             assert n == 2 * k - 1
             assert holds == counting_inequality(n, k).holds

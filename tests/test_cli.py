@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,9 +144,7 @@ class TestProductAndBound:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource limit:")
 
-    def test_pure_qss_capped_before_scanning(self, capsys, monkeypatch):
-        # a scan would call the inequality before the refusal
-        monkeypatch.setattr(bounds, "counting_inequality", None)
+    def test_pure_qss_capped_before_scanning(self, capsys):
         assert cli.run(["bound", "--pure-qss", "--max-k", "1001"]) == cli.EXIT_RESOURCE
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("resource limit:")
@@ -154,6 +153,101 @@ class TestProductAndBound:
     def test_pure_qss_rejects_empty_scan(self, capsys, max_k):
         assert cli.run(["bound", "--pure-qss", "--max-k", max_k]) == 2
         assert capsys.readouterr().out == ""
+
+
+    def test_counting_inequality_capped(self, capsys, monkeypatch):
+        # the exact sum is O(n^2): refused before any binomial is built
+        monkeypatch.setattr(bounds, "_primes", None)
+        assert cli.run(["bound", "--n", "1000000", "--k", "1000000"]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "resource limit: n=1000000 exceeds counting-bound limit 100000\n"
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's default int-to-str limit, restored afterwards."""
+    if not getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        pytest.skip("no int-to-str limit on this interpreter")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+class TestBoundDigitLimit:
+    # at k = n//2 + 1 the inequality fails, so lhs is the larger side
+    def test_just_under_the_limit_prints(self, capsys, digit_limit):
+        code, doc = run_json(capsys, ["--json", "bound", "--n", "14291", "--k", "7146"])
+        assert code == 1 and doc["lhs"] > doc["rhs"]
+        assert 10 ** (digit_limit - 1) <= doc["lhs"] < 10**digit_limit
+
+    @pytest.mark.parametrize(
+        "n,k,side",
+        [("14292", "7147", "lhs"), ("12000", "7900", "rhs"), ("20000", "10200", "lhs")],
+    )
+    def test_over_the_limit_refused(self, capsys, digit_limit, n, k, side):
+        assert cli.run(["--json", "bound", "--n", n, "--k", k]) == cli.EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"resource limit: {side} has more than 4300 digits, the int-to-str limit\n"
+
+
+class TestCapBeforeBuild:
+    """A generated graph over its command's cap is refused unbuilt, with the
+    message and exit code the built graph would get."""
+
+    @pytest.fixture
+    def no_builders(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated graph was built")
+
+        monkeypatch.setattr(graphs, "family", fail)
+        monkeypatch.setattr(graphs, "c5_power", fail)
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["threshold", "--family", "complete", "--n", "3125"], "n=3125 exceeds enumeration limit 26"),
+            (["threshold", "--family", "c5pow", "--i", "5"], "n=3125 exceeds enumeration limit 26"),
+            (["simulate", "--family", "complete", "--n", "3125", "--B", "0,1"], "3125 qubits exceeds limit 12"),
+            (["simulate", "--family", "c5pow", "--i", "2", "--B", "0"], "25 qubits exceeds limit 12"),
+            (
+                ["protocol-run", "--family", "random", "--n", "250", "--p", "0.5", "--k", "3", "--coalition", "0"],
+                "250 qubits exceeds limit 12",
+            ),
+        ],
+    )
+    def test_refused_without_building(self, capsys, no_builders, argv, err):
+        start = time.perf_counter()
+        code = cli.run(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (cli.EXIT_RESOURCE, "", f"resource limit: {err}\n")
+        assert elapsed < 0.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--A", "40"],
+            ["threshold", "--A", ""],
+            ["threshold", "--A", "1,2"],
+            ["simulate", "--B", "40"],
+            ["simulate", "--A", "", "--B", "1"],
+            ["simulate", "--A", "1", "--B", "1"],
+            ["protocol-run", "--k", "99", "--coalition", "1"],
+            ["protocol-run", "--k", "3", "--coalition", "x"],
+            ["protocol-run", "--k", "3", "--coalition", "1", "--secret", "1,1"],
+            ["protocol-run", "--k", "3", "--coalition", "1", "--c", "300"],
+        ],
+    )
+    def test_same_verdict_as_built_graph(self, capsys, tmp_path, argv):
+        path = tmp_path / "k30.el"
+        path.write_text(serialize_graph(family("complete", 30)))
+        cmd, rest = argv[0], argv[1:]
+        built = cli.run([cmd, "--graph", str(path), *rest]), capsys.readouterr()
+        unbuilt = cli.run([cmd, "--family", "complete", "--n", "30", *rest]), capsys.readouterr()
+        assert unbuilt == built and built[0] in (cli.EXIT_USAGE, cli.EXIT_RESOURCE)
 
 
 class TestInternalFailure:
