@@ -208,29 +208,30 @@ def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     return _q_accessing_masks(g.adj, a.mask, b.mask, (1 << g.n) - 1)
 
 
-def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
-    _check_inputs(g, a, b)
-    full = (1 << g.n) - 1
-    acc_b = _accessing(g.adj, a.mask, b.mask, full)
-    acc_bbar = _accessing(g.adj, a.mask, full ^ b.mask, full)
+def _q_verdict(acc_b: bool, acc_bbar: bool) -> QVerdict:
     if acc_b == acc_bbar:
         return QVerdict.PARTIAL
     return QVerdict.Q_ACCESSING if acc_b else QVerdict.Q_BLIND
 
 
+def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
+    _check_inputs(g, a, b)
+    full = (1 << g.n) - 1
+    acc_b = _accessing(g.adj, a.mask, b.mask, full)
+    return _q_verdict(acc_b, _accessing(g.adj, a.mask, full ^ b.mask, full))
+
+
 def access_report(g: Graph, a: VertexSet, b: VertexSet) -> AccessReport:
-    """Full classification of one coalition with certifying sets."""
+    """Full classification of one coalition with certifying sets; the span
+    test decides each side once, and b's verdict must match the witness."""
     c = classify_c(g, a, b)
-    q = q_classify(g, a, b)
-    residual = rank_residual(g, a, b)
-    if (residual == 1) != (c.verdict is CVerdict.ACCESSING):
+    full = (1 << g.n) - 1
+    acc_b = _accessing(g.adj, a.mask, b.mask, full)
+    if acc_b != (c.verdict is CVerdict.ACCESSING):
         raise RuntimeError("rank residual disagrees with witness classification")
-    pair = (
-        WitnessPair(d=c.witness)
-        if c.verdict is CVerdict.ACCESSING
-        else WitnessPair(c=c.witness)
-    )
-    return AccessReport(b, c.verdict, q, pair, residual)
+    q = _q_verdict(acc_b, _accessing(g.adj, a.mask, full ^ b.mask, full))
+    pair = WitnessPair(d=c.witness) if acc_b else WitnessPair(c=c.witness)
+    return AccessReport(b, c.verdict, q, pair, int(acc_b))
 
 
 def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[VertexSet, VertexSet]:
@@ -424,28 +425,10 @@ def edge_mask_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _transposition_tables(n: int) -> list[list[list[int]]]:
-    """Byte lookup tables of the adjacent transpositions (t t+1) on edge masks.
-
-    Table ``[t][p][v]`` is the image under (t t+1) of the edges that byte p
-    of a mask holds when that byte reads v; a mask's image is the OR over its
-    bytes.  The last byte's table covers only the edges that byte holds.
-    """
-    pairs = _edge_pairs(n)
-    index = {pair: idx for idx, pair in enumerate(pairs)}
-    tables = []
-    for t in range(n - 1):
-        swap = {t: t + 1, t + 1: t}
-        dest = [index[tuple(sorted((swap.get(i, i), swap.get(j, j))))] for i, j in pairs]
-        per_byte = []
-        for p in range(0, len(dest), 8):
-            bits = dest[p : p + 8]
-            table = [0] * (1 << len(bits))
-            for v in range(1, len(table)):
-                table[v] = table[v & (v - 1)] | (1 << bits[(v & -v).bit_length() - 1])
-            per_byte.append(table)
-        tables.append(per_byte)
-    return tables
+def _delta_swap(x: np.ndarray, low: int, shift: int) -> np.ndarray:
+    """x with every bit set in ``low`` traded with the bit ``shift`` places up."""
+    y = ((x >> shift) ^ x) & low
+    return x ^ y ^ (y << shift)
 
 
 def _orbit_minima(n: int) -> np.ndarray:
@@ -454,12 +437,11 @@ def _orbit_minima(n: int) -> np.ndarray:
     freed before any threshold is scanned."""
     size = 1 << (n * (n - 1) // 2)
     label = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    index = {pair: idx for idx, pair in enumerate(_edge_pairs(n))}
     images = []
-    for per_byte in _transposition_tables(n):
-        img = np.zeros_like(label)
-        for p, table in enumerate(per_byte):
-            img |= np.asarray(table, dtype=label.dtype)[(label >> (8 * p)) & 255]
-        images.append(img)
+    for t in range(n - 1):
+        img = _delta_swap(label, sum(1 << index[j, t] for j in range(t)), 1)
+        images.append(_delta_swap(img, sum(1 << index[t, j] for j in range(t + 2, n)), n - t - 2))
     while True:
         new = label
         for img in images:
@@ -479,12 +461,14 @@ def exhaustive_graph_search(n: int) -> list[int]:
     mask is labelled with the smallest mask of its orbit under relabelling,
     the graphs of those smallest masks are scanned in ascending order, and
     each k* then labels its whole orbit.  The orbit is closed under the
-    adjacent transpositions (i i+1), which generate S_n, applied to edge
-    masks as fixed bit permutations.
+    adjacent transpositions (t t+1), which generate S_n.
 
     The labelling is whole-array NumPy work, in the narrowest unsigned type
     that holds every mask.  One image array per transposition holds the
-    image of every mask.  Starting from ``label[x] = x``, each round lowers
+    image of every mask, from two delta swaps on the label array: bit
+    (j, t), for each j < t, trades with (j, t+1), one place up; the block
+    (t, t+2..n-1) trades with the block (t+1, t+2..n-1), n - t - 2 places
+    up.  Every other edge bit is fixed.  Starting from ``label[x] = x``, each round lowers
     ``label[x]`` to ``label[img[x]]`` for every image in turn, then
     pointer-jumps ``label = label[label]``; it stops at the first round that
     changes nothing.  This is exact:
@@ -508,7 +492,7 @@ def exhaustive_graph_search(n: int) -> list[int]:
     A = V.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
-    table or array is built.
+    array is built.
     """
     if n > SEARCH_N_LIMIT:
         raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {SEARCH_N_LIMIT}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional
 
 from . import access, bounds, graphs, protocol, quantum
@@ -38,7 +39,7 @@ def _parse_set(text: str, universe: int, what: str) -> graphs.VertexSet:
     try:
         members = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{what}: expected comma-separated integers") from None
+        raise GraphParseError(f"{what}: expected comma-separated integers") from None
     return graphs.VertexSet.from_iterable(universe, members)
 
 
@@ -313,9 +314,7 @@ def _check_printable(**values: int) -> None:
 
 def _cmd_search(args) -> tuple[dict, int]:
     k_stars = access.exhaustive_graph_search(args.n)
-    histogram: dict[int, int] = {}
-    for k_star in k_stars:
-        histogram[k_star] = histogram.get(k_star, 0) + 1
+    histogram = Counter(k_stars)
     min_k = min(histogram)
     attainers = [
         graphs.serialize_graph(access.edge_mask_graph(args.n, mask), "graph6")

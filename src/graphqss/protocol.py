@@ -91,7 +91,7 @@ def _padded_register(
 def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     """Encrypt, embed and distribute one secret qubit."""
     alpha, beta = secret
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > FIDELITY_ATOL:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= FIDELITY_ATOL:  # NaN fails too
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
     # the register is built first, so one over the qubit cap is refused
@@ -144,7 +144,7 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
     residual = np.linalg.norm(state.amplitudes[:half] - amp0 * base) + np.linalg.norm(
         state.amplitudes[half:] - amp1 * base
     )
-    if residual > quantum.ATOL_ZERO_TEST:
+    if not residual <= quantum.ATOL_ZERO_TEST:
         raise ProtocolStateError("ancilla failed to disentangle from the graph register")
 
     selected = [t.shares[p] for p in players]

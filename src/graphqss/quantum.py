@@ -39,7 +39,7 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count != 2**n_qubits")
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     def inner(self, other: StateVector) -> complex:
@@ -148,7 +148,7 @@ def _encoded_pair(g: Graph, a: VertexSet) -> tuple[StateVector, StateVector]:
 
 def _superpose(pair: tuple[StateVector, StateVector], alpha: complex, beta: complex) -> StateVector:
     """alpha times the first encoding plus beta times the second."""
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
+    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:
         raise ValueError("secret amplitudes are not normalized")
     g0, g1 = pair
     return StateVector(g0.n_qubits, alpha * g0.amplitudes + beta * g1.amplitudes)
@@ -262,7 +262,7 @@ def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> St
     plus = (s.amplitudes + flipped.amplitudes) / 2.0
     minus = (s.amplitudes - flipped.amplitudes) / 2.0
     residual = plus - (base.conj() @ plus) * base
-    if np.linalg.norm(residual) > ATOL_ZERO_TEST:
+    if not np.linalg.norm(residual) <= ATOL_ZERO_TEST:
         raise ProtocolStateError("register is not a superposition of encoded graph states")
     return StateVector(g.n + 1, np.concatenate([plus, minus]))
 

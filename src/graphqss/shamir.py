@@ -2,8 +2,9 @@
 
 The two pad bits travel together in one field element (bit 0 = X-pad bit,
 bit 1 = Z-pad bit), so a dealing is one byte per player.  Field arithmetic
-uses the reduction polynomial x^8 + x^4 + x^3 + x + 1; evaluation points are
-the player indices 1..n, which caps n at 255.
+uses the reduction polynomial x^8 + x^4 + x^3 + x + 1 and log/antilog tables
+of its generator 3 (x + 1); evaluation points are the player indices 1..n,
+which caps n at 255.
 """
 
 from __future__ import annotations
@@ -16,39 +17,29 @@ from .errors import InsufficientSharesError
 _POLY = 0x11B
 
 
+def _log_tables() -> tuple[list[int], list[int]]:
+    """Powers of 3, twice round so a sum of two logarithms needs no mod 255,
+    and their logarithms; x * 3 = x ^ xtime(x), reduced by ``_POLY``."""
+    exp, log = [0] * 510, [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= (x << 1) ^ (_POLY if x & 0x80 else 0)
+    return exp, log
+
+
+_EXP, _LOG = _log_tables()
+
+
 def gf_mul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= _POLY
-        b >>= 1
-    return acc
+    return _EXP[_LOG[a] + _LOG[b]] if a and b else 0
 
 
 def gf_inv(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(256)")
-    return _INV[a]
-
-
-def _build_inverses() -> list[int]:
-    inv = [0] * 256
-    for a in range(1, 256):
-        # a^254 = a^-1 in GF(256)
-        acc, base, e = 1, a, 254
-        while e:
-            if e & 1:
-                acc = gf_mul(acc, base)
-            base = gf_mul(base, base)
-            e >>= 1
-        inv[a] = acc
-    return inv
-
-
-_INV = _build_inverses()
+    return _EXP[255 - _LOG[a]]
 
 
 class ClassicalShare(NamedTuple):

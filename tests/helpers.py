@@ -4,8 +4,10 @@ Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
 trace-norm kernel.  The exhaustive search reference scans every labelled
-graph, never relying on relabelling symmetry, and the min-k reference
-builds the whole counting sum, never bracketing it.
+graph, never relying on relabelling symmetry, the orbit reference applies
+every one of the n! relabellings, the min-k reference builds the whole
+counting sum, never bracketing it, and the GF(256) reference multiplies by
+shift-and-add, never through log tables.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ def all_graphs(n: int):
         yield Graph(n, tuple(adj))
 
 
+def brute_orbit_minima(n: int) -> list[int]:
+    """Smallest image of every edge mask under all n! vertex relabellings."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    index = {pair: idx for idx, pair in enumerate(pairs)}
+    best = list(range(1 << len(pairs)))
+    for perm in itertools.permutations(range(n)):
+        dest = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
+        for mask in range(len(best)):
+            image = sum(bit for idx, bit in enumerate(dest) if (mask >> idx) & 1)
+            best[mask] = min(best[mask], image)
+    return best
+
+
 def labelled_graph_search(n: int) -> list[int]:
     """k* with A = V of every labelled graph on n vertices, one threshold
     per graph, in edge-mask order."""
@@ -125,3 +140,16 @@ def full_sum_min_feasible_k(n: int) -> int:
             total -= c_upper
             c_upper = c_upper * upper // (n - upper + 1)
             upper -= 1
+
+
+def gf_mul_reference(a: int, b: int) -> int:
+    """GF(256) product modulo x^8 + x^4 + x^3 + x + 1, by shift-and-add."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return acc

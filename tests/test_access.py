@@ -35,6 +35,7 @@ from helpers import (
     all_graphs,
     brute_accessing_witness,
     brute_blind_witness,
+    brute_orbit_minima,
     labelled_graph_search,
 )
 
@@ -384,18 +385,23 @@ class TestExhaustiveSearch:
         assert min(exhaustive_graph_search(2)) == 2
 
     def test_resource_cap(self, monkeypatch):
-        # refused before any table or array is built: at n = 12 the label
-        # array alone would have 2^66 entries
+        # refused before any array is built: at n = 12 the label array alone
+        # would have 2^66 entries
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the cap was checked")
 
-        monkeypatch.setattr(access, "_transposition_tables", fail)
+        monkeypatch.setattr(access, "_edge_pairs", fail)
         monkeypatch.setattr("numpy.arange", fail)
         for n in (7, 8, 12):
             with pytest.raises(ResourceLimitError, match=f"n={n} exceeds exhaustive search limit 6"):
                 exhaustive_graph_search(n)
         with pytest.raises(ValueError, match="n must be >= 1"):
             exhaustive_graph_search(0)
+
+    def test_orbit_minima_match_every_relabelling(self):
+        # the delta-swap labelling against all n! relabellings of every mask
+        for n in range(1, 6):
+            assert access._orbit_minima(n).tolist() == brute_orbit_minima(n)
 
     def test_deterministic_order(self):
         a = exhaustive_graph_search(3)

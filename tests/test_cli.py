@@ -347,6 +347,15 @@ class TestProtocolRun:
         out2 = capsys.readouterr().out
         assert out1 == out2 and json.loads(out1)["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("secret", ["nan,1", "1,nan"])
+    def test_nan_secret_refused(self, capsys, secret):
+        # NaN passes no "> tol" test; it must not reach the JSON as a NaN fidelity
+        argv = ["--json", "protocol-run", "--family", "cycle", "--n", "5", "--k", "3"]
+        code = cli.run(argv + ["--coalition", "0,1,2", "--secret", secret])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err == "error: secret amplitudes are not normalized\n"
+
 
 class TestSearch:
     def test_n4(self, capsys):
@@ -361,9 +370,9 @@ class TestSearch:
 
     def test_n7_refused_before_enumerating(self, capsys, monkeypatch):
         # 2^21 graphs at n = 7 and 2^66 at n = 12: refused before any
-        # table, array or threshold
+        # array or threshold
         monkeypatch.setattr(access, "qstar_threshold", None)
-        monkeypatch.setattr(access, "_transposition_tables", None)
+        monkeypatch.setattr(access, "_edge_pairs", None)
         monkeypatch.setattr("numpy.arange", None)
         for n in ("7", "12"):
             assert cli.run(["search", "--n", n]) == cli.EXIT_RESOURCE
@@ -405,6 +414,19 @@ class TestErrorsAndFormats:
         assert calls[0][0] == 2 and "--bogus" in calls[0][1].err
         assert calls[1][0] == 0 and json.loads(calls[1][1].out)["q_verdict"] == "QAccessing"
         assert calls[1] == calls[2] and calls[0] == calls[3]
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["threshold", "--family", "cycle", "--n", "5", "--A", "x"], "--A"),
+            (["classify", "--family", "cycle", "--n", "5", "--B", "0,x"], "--B"),
+        ],
+    )
+    def test_non_integer_set(self, capsys, argv, what):
+        assert cli.run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {what}: expected comma-separated integers\n"
 
     def test_missing_required(self, capsys):
         assert cli.run(["classify", "--family", "cycle", "--n", "5"]) == 2

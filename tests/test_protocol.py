@@ -59,6 +59,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             deal(ProtocolConfig(C5, A5, 3), (0.9, 0.9))
 
+    @pytest.mark.parametrize("secret", [(float("nan"), 1.0), (1.0, float("nan"))])
+    def test_nan_secret_rejected(self, secret):
+        with pytest.raises(ValueError, match="not normalized"):
+            deal(ProtocolConfig(C5, A5, 3), secret)
+
 
 class TestDeal:
     def test_identity_pad_matches_embedding(self):

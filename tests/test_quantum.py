@@ -142,6 +142,11 @@ class TestEncodeEmbed:
     def test_rejects_unnormalized_secret(self):
         with pytest.raises(ValueError):
             embed_secret(C5, A5, 0.9, 0.9)
+        # NaN fails every "> tol" test, so it must be refused as not "<= tol"
+        with pytest.raises(ValueError, match="not normalized"):
+            embed_secret(C5, A5, float("nan"), 1.0)
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, np.array([np.nan, 1.0], dtype=complex))
 
 
 class TestReducedDensity:

@@ -14,12 +14,18 @@ from graphqss.shamir import (
     share,
     unpack_pad,
 )
+from helpers import gf_mul_reference
 
 
 class TestField:
+    def test_mul_matches_shift_and_add(self):
+        for a in range(256):
+            for b in range(256):
+                assert gf_mul(a, b) == gf_mul_reference(a, b)
+
     def test_inverses(self):
         for a in range(1, 256):
-            assert gf_mul(a, gf_inv(a)) == 1
+            assert gf_mul_reference(a, gf_inv(a)) == 1
 
     def test_zero_inverse(self):
         with pytest.raises(ZeroDivisionError):
