@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
-from .graphs import Graph, VertexSet, odd_neighborhood
+from .graphs import Graph, VertexSet, bits, odd_neighborhood
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
@@ -120,7 +120,7 @@ def _accessing(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int) -> boo
     """
     basis: dict[int, int] = {}
     m = full ^ mask_b
-    while m:
+    while m:  # inline, not graphs.bits(): this loop runs once per coalition
         v = (m & -m).bit_length() - 1
         m &= m - 1
         r = adj[v] & mask_b
@@ -380,7 +380,8 @@ def small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
         cw, nw = cur.bit_count(), cand.bit_count()
         if nw != cw:
             return nw < cw
-        return _member_key(cand) < _member_key(cur)
+        # lexicographic tie-break on ascending member lists
+        return tuple(bits(cand)) < tuple(bits(cur))
 
     vec = 0
     for i in range(1 << len(basis)):
@@ -402,11 +403,6 @@ def small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
     return VertexSet(g.n, best_even), "even-wise"
 
 
-def _member_key(bits: int) -> tuple[int, ...]:
-    # lexicographic tie-break on ascending member lists
-    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
-
-
 # -- exhaustive search over labelled graphs --------------------------------------
 
 
@@ -417,11 +413,14 @@ def _edge_pairs(n: int) -> list[tuple[int, int]]:
 
 def edge_mask_graph(n: int, mask: int) -> Graph:
     """The labelled graph on n vertices whose edges are the set bits of mask."""
+    pairs = _edge_pairs(n)
+    if mask >> len(pairs):
+        raise ValueError(f"edge mask outside 0..2^{len(pairs)}-1")
     adj = [0] * n
-    for idx, (i, j) in enumerate(_edge_pairs(n)):
-        if (mask >> idx) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
+    for idx in bits(mask):
+        i, j = pairs[idx]
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
     return Graph(n, tuple(adj))
 
 

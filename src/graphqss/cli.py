@@ -7,12 +7,17 @@ vertex lists, and --A defaults to all vertices.  Exit codes: 0 success,
 error, 3 resource limit, 4 internal failure (a witness or protocol state
 that failed its own check).  Identical argv (and seed) produce
 byte-identical output; randomized paths take --seed and default to seed 0.
+A reader that closes stdout early gets no traceback: ``main`` prints
+nothing on stderr and exits with the command's own code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
+import os
 import sys
 from collections import Counter
 from typing import Optional
@@ -32,15 +37,14 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-def _parse_set(text: str, universe: int, what: str) -> graphs.VertexSet:
+def _parse_ints(text: str, what: str) -> list[int]:
     text = text.strip()
     if not text:
-        return graphs.VertexSet.empty(universe)
+        return []
     try:
-        members = [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise GraphParseError(f"{what}: expected comma-separated integers") from None
-    return graphs.VertexSet.from_iterable(universe, members)
 
 
 def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> graphs.Graph:
@@ -91,14 +95,18 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="vertex count for --family")
     p.add_argument("--p", type=float, help="edge probability for --family random")
     p.add_argument("--i", type=int, help="power for --family c5pow")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
+    seed_help = "seed for randomized paths; with --family random it also draws the graph"
+    seed_help += " (to keep a graph, write it with 'qss family' and pass it back with --graph)"
+    p.add_argument("--seed", type=int, default=0, help=seed_help)
 
 
 def _sets(args: argparse.Namespace, g: graphs.Graph) -> tuple[graphs.VertexSet, Optional[graphs.VertexSet]]:
-    a = graphs.VertexSet.full(g.n) if args.A is None else _parse_set(args.A, g.n, "--A")
+    a = graphs.VertexSet.full(g.n)
+    if args.A is not None:
+        a = graphs.VertexSet.from_iterable(g.n, _parse_ints(args.A, "--A"))
     b = None
     if getattr(args, "B", None) is not None:
-        b = _parse_set(args.B, g.n, "--B")
+        b = graphs.VertexSet.from_iterable(g.n, _parse_ints(args.B, "--B"))
     return a, b
 
 
@@ -255,7 +263,7 @@ def _cmd_protocol_run(args) -> tuple[dict, int]:
     except ValueError:
         raise GraphParseError("--secret expects two comma-separated reals") from None
     cfg = protocol.ProtocolConfig(g, a, args.k, c=args.c, seed=args.seed)
-    coalition = [int(tok) for tok in args.coalition.split(",")]
+    coalition = _parse_ints(args.coalition, "--coalition")
     t = protocol.deal(cfg, (sa, sb))
     try:
         rec = protocol.reconstruct(t, coalition)
@@ -272,16 +280,7 @@ def _cmd_protocol_run(args) -> tuple[dict, int]:
 
 def _cmd_bound(args) -> tuple[dict, int]:
     if args.pure_qss:
-        report = bounds.pure_qss_feasibility(args.max_k)
-        return {
-            "rows": [list(r) for r in report.rows],
-            "largest_holding_n": report.largest_holding_n,
-            "smallest_failing_n": report.smallest_failing_n,
-            "chain_k_max": report.chain_k_max,
-            "chain_n_max": report.chain_n_max,
-            "stated_cutoff_n": report.stated_cutoff_n,
-            "scan_matches_chain": report.scan_matches_chain,
-        }, EXIT_OK
+        return dict(vars(bounds.pure_qss_feasibility(args.max_k))), EXIT_OK
     if args.min_k:
         if args.n is None:
             raise GraphParseError("--min-k requires --n")
@@ -290,14 +289,8 @@ def _cmd_bound(args) -> tuple[dict, int]:
     if args.n is None or args.k is None:
         raise GraphParseError("bound requires --n and --k (or --min-k / --pure-qss)")
     report = bounds.counting_inequality(args.n, args.k)
-    _check_printable(lhs=report.lhs, rhs=report.rhs)
-    doc = {
-        "n": report.n,
-        "k": report.k,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "holds": report.holds,
-    }
+    doc = dict(vars(report))
+    _check_printable(**doc)
     return doc, EXIT_OK if report.holds else EXIT_NEGATIVE
 
 
@@ -307,8 +300,9 @@ def _check_printable(**values: int) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
+    cap = 10**limit
     for name, value in values.items():
-        if value >= 10**limit:
+        if value >= cap:
             raise ResourceLimitError(f"{name} has more than {limit} digits, the int-to-str limit")
 
 
@@ -347,9 +341,19 @@ _HANDLERS = {
 _PARSER = build_parser()
 
 
+def _bind_secret(argv: list[str]) -> list[str]:
+    """argv with each --secret joined to the token after it: argparse reads
+    a token such as -0.6,0.8 as an option, not as the option's value."""
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--secret" and not out[i + 1].startswith("--"):
+            out[i : i + 2] = [f"--secret={out[i + 1]}"]
+    return out
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_bind_secret(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
@@ -371,7 +375,14 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run()
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:
+        # the reader has gone: keep the exit code, and let the flush at exit write to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,16 @@ _MAX_GRAPH6_N = 258047  # 3-byte graph6 size form; the cap for both text formats
 FAMILY_VERTEX_LIMIT = 3125  # every generated graph: family() and c5_power()
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, ascending."""
+    if mask < 0:
+        raise ValueError("mask must be >= 0")  # a negative int never runs out of bits
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """Subset of 0..universe-1 with bitmask semantics."""
@@ -50,7 +60,7 @@ class VertexSet:
         return cls(universe, (1 << universe) - 1)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.universe) if (self.mask >> i) & 1)
+        return tuple(bits(self.mask))
 
     def complement(self) -> VertexSet:
         return VertexSet(self.universe, self.mask ^ ((1 << self.universe) - 1))
@@ -110,7 +120,7 @@ class Graph:
             if (row >> i) & 1:
                 raise ValueError(f"self-loop at vertex {i}")
             m = row
-            while m:
+            while m:  # inline, not bits(): this loop runs for every graph built
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
                 if not (self.adj[j] >> i) & 1:
@@ -139,12 +149,7 @@ class Graph:
         return (self.adj[u] >> v) & 1 == 1
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            m = self.adj[u] >> (u + 1) << (u + 1)
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                yield (u, v)
+        return ((u, v) for u in range(self.n) for v in bits(self.adj[u] >> (u + 1) << (u + 1)))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -158,10 +163,7 @@ def odd_neighborhood(g: Graph, d: VertexSet) -> VertexSet:
     if d.universe != g.n:
         raise ValueError("vertex set universe != graph order")
     acc = 0
-    m = d.mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
+    for v in bits(d.mask):
         acc ^= g.adj[v]
     return VertexSet(g.n, acc)
 
@@ -176,9 +178,8 @@ def delta_complement(g: Graph, a: VertexSet) -> Graph:
     if a.universe != g.n:
         raise ValueError("vertex set universe != graph order")
     adj = list(g.adj)
-    for i in range(g.n):
-        if (a.mask >> i) & 1:
-            adj[i] ^= a.mask & ~(1 << i)
+    for i in bits(a.mask):
+        adj[i] ^= a.mask & ~(1 << i)
     return Graph(g.n, tuple(adj))
 
 
@@ -193,10 +194,7 @@ def lexicographic_product(g1: Graph, g2: Graph) -> Graph:
     adj = []
     for u1 in range(n1):
         cross = 0
-        m = g1.adj[u1]
-        while m:
-            v1 = (m & -m).bit_length() - 1
-            m &= m - 1
+        for v1 in bits(g1.adj[u1]):
             cross |= block << (v1 * n2)
         for u2 in range(n2):
             adj.append(cross | (g2.adj[u2] << (u1 * n2)))

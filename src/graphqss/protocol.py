@@ -127,16 +127,20 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
     holder_set = set(players)
     b = VertexSet.from_iterable(g.n, (q for q in range(g.n) if t.qubit_holders[q] in holder_set))
     d, c_wit = access.reconstruction_witnesses(g, a, b)
+    # both steps act on the coalition's qubits only: D u Odd(D), then C u (Odd(C) xor A)
+    extraction = d | odd_neighborhood(g, d)
+    correction = c_wit | (odd_neighborhood(g, c_wit) ^ a)
+    for step, support in (("a (extraction)", extraction), ("b (correction)", correction)):
+        outside = list((support - b).members())
+        if outside:
+            raise LocalityError(f"step {step} would act on qubits {outside} outside the coalition")
 
-    support_a = d | odd_neighborhood(g, d)
-    if not support_a.is_subset_of(b):
-        raise LocalityError("extraction would touch qubits outside the coalition")
     t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
     base = quantum.graph_state(g).amplitudes
     state = quantum._isometry_UD(t.register, g, d, base)
 
     t.log.append(f"step b: correct with C={list(c_wit.members())}")
-    state = quantum.apply_controlled_VC(state, g, a, c_wit, allowed=b)
+    state = quantum.apply_controlled_VC(state, g, a, c_wit)
 
     half = 1 << g.n
     amp0 = complex(np.vdot(base, state.amplitudes[:half]))

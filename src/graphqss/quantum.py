@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LocalityError, ProtocolStateError, ResourceLimitError
-from .graphs import Graph, VertexSet, odd_neighborhood
+from .errors import ProtocolStateError, ResourceLimitError
+from .graphs import Graph, VertexSet, bits, odd_neighborhood
 
 ATOL_ALGEBRA = 1e-12
 ATOL_ZERO_TEST = 1e-10
@@ -89,10 +89,7 @@ class PauliOp:
 
 def _induced_edge_parity(g: Graph, d: VertexSet) -> int:
     total = 0
-    m = d.mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
+    for v in bits(d.mask):
         total += (g.adj[v] & d.mask).bit_count()
     return (total // 2) & 1
 
@@ -267,18 +264,11 @@ def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> St
     return StateVector(g.n + 1, np.concatenate([plus, minus]))
 
 
-def apply_controlled_VC(
-    s: StateVector,
-    g: Graph,
-    a: VertexSet,
-    c: VertexSet,
-    allowed: VertexSet | None = None,
-) -> StateVector:
+def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:
     """Ancilla-controlled correction that folds the flipped branch back.
 
     Applies phase * X on c * Z on Odd(c) xor a to the half of the register
-    where the ancilla (highest qubit) is 1.  With ``allowed`` given, raises
-    LocalityError if the correction would touch qubits outside it.
+    where the ancilla (highest qubit) is 1.
     """
     n = g.n
     if s.n_qubits != n + 1:
@@ -287,12 +277,6 @@ def apply_controlled_VC(
     # difference and the phase stays the stabilizer's
     stab = stabilizer_for(g, c)
     op = PauliOp(c, stab.z_support ^ a, stab.phase)
-    support = c | op.z_support
-    if allowed is not None and not support.is_subset_of(allowed):
-        raise LocalityError(
-            f"correction acts on {sorted(set(support.members()) - set(allowed.members()))} "
-            "outside the coalition"
-        )
     half = 1 << n
     upper = _pauli_amplitudes(s.amplitudes[half:], op)
     return StateVector(n + 1, np.concatenate([s.amplitudes[:half], upper]))

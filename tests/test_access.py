@@ -414,6 +414,12 @@ class TestExhaustiveSearch:
             [(1, 2)],
         ]
 
+    @pytest.mark.parametrize("n, mask", [(3, -1), (3, 8), (4, 1 << 6), (1, 1), (0, -1)])
+    def test_edge_mask_out_of_range_refused(self, n, mask):
+        # 0..2^(n(n-1)/2)-1; a negative mask once gave the complete graph
+        with pytest.raises(ValueError):
+            edge_mask_graph(n, mask)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_labelled_reference(self, n):
         assert exhaustive_graph_search(n) == labelled_graph_search(n)

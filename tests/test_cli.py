@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -347,6 +348,26 @@ class TestProtocolRun:
         out2 = capsys.readouterr().out
         assert out1 == out2 and json.loads(out1)["fidelity"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_negative_secret_as_separate_token(self, capsys):
+        argv = ["--json", "protocol-run", "--family", "cycle", "--n", "5", "--k", "3"]
+        argv += ["--coalition", "0,1,2", "--seed", "3"]
+        assert cli.run(argv + ["--secret=-0.6,0.8"]) == cli.EXIT_OK
+        joined = capsys.readouterr()
+        assert cli.run(argv + ["--secret", "-0.6,0.8"]) == cli.EXIT_OK
+        assert capsys.readouterr() == joined
+        assert json.loads(joined.out)["fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_bare_trailing_secret_is_usage_error(self, capsys):
+        argv = ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3"]
+        assert cli.run(argv + ["--coalition", "0,1,2", "--secret"]) == cli.EXIT_USAGE
+        assert "argument --secret: expected one argument" in capsys.readouterr().err
+
+    def test_empty_coalition_below_threshold(self, capsys):
+        argv = ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", ""]
+        code, doc = run_json(capsys, argv)
+        assert code == cli.EXIT_NEGATIVE
+        assert doc["coalition"] == [] and doc["error"] == "coalition of 0 below threshold 3"
+
     @pytest.mark.parametrize("secret", ["nan,1", "1,nan"])
     def test_nan_secret_refused(self, capsys, secret):
         # NaN passes no "> tol" test; it must not reach the JSON as a NaN fidelity
@@ -420,6 +441,10 @@ class TestErrorsAndFormats:
         [
             (["threshold", "--family", "cycle", "--n", "5", "--A", "x"], "--A"),
             (["classify", "--family", "cycle", "--n", "5", "--B", "0,x"], "--B"),
+            (
+                ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,x"],
+                "--coalition",
+            ),
         ],
     )
     def test_non_integer_set(self, capsys, argv, what):
@@ -444,6 +469,29 @@ class TestErrorsAndFormats:
         code = cli.run(["--json", "product", "--n1", "5", "--k1", "3", "--n2", "5", "--k2", "3"])
         out = capsys.readouterr().out
         assert code == 0 and out.count("\n") == 1 and json.loads(out)["k"] == 17
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["bound", "--n", "5", "--k", "3"], cli.EXIT_OK),
+            (["classify", "--family", "cycle", "--n", "5", "--B", "0,1"], cli.EXIT_NEGATIVE),
+        ],
+    )
+    def test_closed_stdout_pipe(self, argv, code):
+        # the read end is closed before the child starts, so its first write fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "graphqss.cli", "--json", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, "")
 
     def test_console_entry_point(self, c5_file):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from graphqss.graphs import (
     _MAX_GRAPH6_N,
     Graph,
     VertexSet,
+    bits,
     c5_power,
     complement,
     delta_complement,
@@ -33,6 +34,18 @@ def small_graphs(draw, max_n=8):
 
 def vs(n, members):
     return VertexSet.from_iterable(n, members)
+
+
+class TestBits:
+    def test_matches_brute_force(self):
+        rng = random.Random(5)
+        masks = [0, 1, 1 << 3124] + [rng.getrandbits(rng.randint(1, 3125)) for _ in range(200)]
+        for mask in masks:
+            assert list(bits(mask)) == [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+    def test_negative_mask_refused(self):
+        with pytest.raises(ValueError):
+            next(bits(-1))
 
 
 class TestVertexSet:

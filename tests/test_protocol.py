@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from graphqss import access, quantum
-from graphqss.errors import InsufficientSharesError, ResourceLimitError
+from graphqss.errors import InsufficientSharesError, LocalityError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.protocol import (
     ProtocolConfig,
@@ -166,6 +166,27 @@ class TestReconstruct:
         rec = reconstruct(t, [0, 2, 4])
         assert built == [C5]
         assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "d, c, message",
+        [
+            # D u Odd(D) = {0, 1, 4}
+            ([0], [0, 2], r"step a \(extraction\) would act on qubits \[4\] outside"),
+            # C u (Odd(C) xor A) = {0} u ({1, 4} xor V) = {0, 2, 3}
+            ([1], [0], r"step b \(correction\) would act on qubits \[3\] outside"),
+        ],
+        ids=["step_a", "step_b"],
+    )
+    def test_locality_checked_before_amplitude_work(self, monkeypatch, d, c, message):
+        t = deal(ProtocolConfig(C5, A5, 3, seed=1), (0.6, 0.8))
+        monkeypatch.setattr(
+            access,
+            "reconstruction_witnesses",
+            lambda g, a, b: (VertexSet.from_iterable(5, d), VertexSet.from_iterable(5, c)),
+        )
+        monkeypatch.setattr(quantum, "graph_state", None)
+        with pytest.raises(LocalityError, match=message):
+            reconstruct(t, [0, 1, 2])
 
     def test_log_records_steps(self):
         t = deal(ProtocolConfig(C5, A5, 3, seed=1), (1, 0))

@@ -6,7 +6,7 @@ import pytest
 
 from graphqss import quantum
 from graphqss.access import CVerdict, classify_c
-from graphqss.errors import LocalityError, ProtocolStateError, ResourceLimitError
+from graphqss.errors import ProtocolStateError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.quantum import (
     DensityMatrix,
@@ -362,10 +362,9 @@ class TestIsometryAndCorrection:
             apply_isometry_UD(random_state(5, 0), C5, vs(5, [1]))
 
     def test_correction_disentangles(self):
-        b = vs(5, [0, 1, 2])
         d, c = vs(5, [1]), vs(5, [0, 2])
         state = apply_isometry_UD(embed_secret(C5, A5, 0.6, 0.8), C5, d)
-        state = apply_controlled_VC(state, C5, A5, c, allowed=b)
+        state = apply_controlled_VC(state, C5, A5, c)
         anc = reduced_density(state, vs(6, [5]))
         assert anc.purity() == pytest.approx(1.0, abs=1e-10)
         base = graph_state(C5).amplitudes
@@ -377,11 +376,6 @@ class TestIsometryAndCorrection:
         lower = state.amplitudes[:32].copy()
         out = apply_controlled_VC(state, C5, A5, vs(5, [0, 2]))
         assert np.array_equal(out.amplitudes[:32], lower)
-
-    def test_locality_enforced(self):
-        state = apply_isometry_UD(embed_secret(C5, A5, 0.6, 0.8), C5, vs(5, [1]))
-        with pytest.raises(LocalityError):
-            apply_controlled_VC(state, C5, A5, vs(5, [0, 2]), allowed=vs(5, [0, 1]))
 
 
 class TestDump:
