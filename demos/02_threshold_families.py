@@ -11,7 +11,6 @@ Run with argument "full" to re-verify the 25-vertex threshold exhaustively
 import sys
 
 from graphqss import (
-    VertexSet,
     c5_power,
     family,
     lexicographic_product,

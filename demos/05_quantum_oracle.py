@@ -7,8 +7,6 @@ the quantum twist: a pair of players is blind to the basis encodings yet
 perfectly separates the (1, +i) and (1, -i) superposition secrets.
 """
 
-import itertools
-
 from graphqss import (
     VertexSet,
     distinguishability,
@@ -16,7 +14,6 @@ from graphqss import (
     family,
     graph_state,
     q_classify,
-    reduced_density,
 )
 from graphqss.quantum import stabilizer_for, apply_pauli, trace_norm
 

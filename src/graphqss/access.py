@@ -406,21 +406,23 @@ def small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
 # -- exhaustive search over labelled graphs --------------------------------------
 
 
-def _edge_pairs(n: int) -> list[tuple[int, int]]:
-    """Vertex pair of each edge-mask bit: (0,1), (0,2), ..., (0,n-1), (1,2), ..."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _edge_bit(n: int, i: int, j: int) -> int:
+    """Bit of edge (i, j), i < j, in an edge mask: row i's pairs (i, i+1..n-1)
+    are the n - 1 - i bits from i(2n - i - 1)/2 up."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def edge_mask_graph(n: int, mask: int) -> Graph:
     """The labelled graph on n vertices whose edges are the set bits of mask."""
-    pairs = _edge_pairs(n)
-    if mask >> len(pairs):
-        raise ValueError(f"edge mask outside 0..2^{len(pairs)}-1")
+    m = n * (n - 1) // 2
+    if mask >> m:
+        raise ValueError(f"edge mask outside 0..2^{m}-1")
     adj = [0] * n
-    for idx in bits(mask):
-        i, j = pairs[idx]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
+    for i in range(n - 1):
+        row = (mask >> _edge_bit(n, i, i + 1)) & ((1 << (n - 1 - i)) - 1)
+        adj[i] |= row << (i + 1)
+        for j in bits(row):
+            adj[i + 1 + j] |= 1 << i
     return Graph(n, tuple(adj))
 
 
@@ -436,11 +438,11 @@ def _orbit_minima(n: int) -> np.ndarray:
     freed before any threshold is scanned."""
     size = 1 << (n * (n - 1) // 2)
     label = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    index = {pair: idx for idx, pair in enumerate(_edge_pairs(n))}
     images = []
     for t in range(n - 1):
-        img = _delta_swap(label, sum(1 << index[j, t] for j in range(t)), 1)
-        images.append(_delta_swap(img, sum(1 << index[t, j] for j in range(t + 2, n)), n - t - 2))
+        img = _delta_swap(label, sum(1 << _edge_bit(n, j, t) for j in range(t)), 1)
+        block = ((1 << (n - t - 2)) - 1) << _edge_bit(n, t, t + 2)
+        images.append(_delta_swap(img, block, n - t - 2))
     while True:
         new = label
         for img in images:

@@ -80,19 +80,16 @@ def _primes(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-def _binomial(n: int, k: int, primes: Optional[list[int]] = None) -> int:
+def _binomial(n: int, k: int, primes: list[int]) -> int:
     """C(n, k), or 0 for k outside 0..n, from its prime factorisation.
 
     Legendre's formula gives each prime's exponent, and a balanced product
     tree multiplies the prime powers, so no big division is done.  ``primes``
-    must list every prime up to n; callers building several binomials of one
-    n pass one sieve.
+    must list every prime up to n, so several binomials share one sieve.
     """
     if not 0 <= k <= n:
         return 0
     k = min(k, n - k)
-    if primes is None:
-        primes = _primes(n)
     root, half = bisect_right(primes, isqrt(n)), bisect_right(primes, n // 2)
     factors = []
     for p in primes[:root]:

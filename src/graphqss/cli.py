@@ -300,9 +300,9 @@ def _check_printable(**values: int) -> None:
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
-    cap = 10**limit
     for name, value in values.items():
-        if value >= cap:
+        # a value of at most 3 * limit bits is below 8**limit < 10**limit
+        if value.bit_length() > 3 * limit and value >= 10**limit:
             raise ResourceLimitError(f"{name} has more than {limit} digits, the int-to-str limit")
 
 

@@ -322,19 +322,10 @@ def _to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.adj[i] >> j) & 1)
-    chars = []
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return head + "".join(chars)
+    # column j is pairs (0, j) .. (j - 1, j): the low j bits of adj[j], reversed
+    stream = "".join(f"{g.adj[j] & ((1 << j) - 1):0{j}b}"[::-1] for j in range(1, n))
+    stream += "0" * (-len(stream) % 6)
+    return head + "".join(chr(int(stream[k : k + 6], 2) + 63) for k in range(0, len(stream), 6))
 
 
 def _parse_graph6(text: str) -> Graph:
@@ -348,6 +339,8 @@ def _parse_graph6(text: str) -> Graph:
         if len(data) < 4:
             raise GraphParseError("truncated graph6 vertex count")
         n = (data[1] << 12) | (data[2] << 6) | data[3]
+        if n > _MAX_GRAPH6_N:  # every header whose second byte is also '~'
+            raise GraphParseError(f"graph6 vertex count must be in 0..{_MAX_GRAPH6_N}")
         body = data[4:]
     else:
         n = data[0]
@@ -357,18 +350,13 @@ def _parse_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"graph6 body has {len(body)} bytes, expected {(nbits + 5) // 6} for n={n}"
         )
-    bits = []
-    for val in body:
-        for s in range(5, -1, -1):
-            bits.append((val >> s) & 1)
-    if any(bits[nbits:]):
+    stream = "".join(f"{val:06b}" for val in body)
+    if "1" in stream[nbits:]:
         raise GraphParseError("graph6 padding bits are not zero")
     adj = [0] * n
-    k = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
+        start = j * (j - 1) // 2
+        adj[j] = int(stream[start : start + j][::-1], 2)  # later columns set the high bits
+        for i in bits(adj[j]):
+            adj[i] |= 1 << j
     return Graph(n, tuple(adj))

@@ -390,7 +390,7 @@ class TestExhaustiveSearch:
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the cap was checked")
 
-        monkeypatch.setattr(access, "_edge_pairs", fail)
+        monkeypatch.setattr(access, "_edge_bit", fail)
         monkeypatch.setattr("numpy.arange", fail)
         for n in (7, 8, 12):
             with pytest.raises(ResourceLimitError, match=f"n={n} exceeds exhaustive search limit 6"):
@@ -413,6 +413,17 @@ class TestExhaustiveSearch:
             [(0, 2)],
             [(1, 2)],
         ]
+
+    def test_edge_mask_graph_matches_every_labelled_graph(self):
+        # row blocks read by shifts against the reference's walk over each pair
+        for n in range(7):
+            masks = range(1 << (n * (n - 1) // 2))
+            assert [edge_mask_graph(n, m) for m in masks] == list(all_graphs(n))
+
+    def test_edge_bit_is_the_row_major_pair_index(self):
+        for n in range(13):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            assert [access._edge_bit(n, i, j) for i, j in pairs] == list(range(len(pairs)))
 
     @pytest.mark.parametrize("n, mask", [(3, -1), (3, 8), (4, 1 << 6), (1, 1), (0, -1)])
     def test_edge_mask_out_of_range_refused(self, n, mask):

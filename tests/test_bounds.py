@@ -90,7 +90,7 @@ class TestBinomial:
         [(100_000, 50_001), (2**16, 2**15), (2**16, 100), (3**10, 3**9), (5**7, 31_250), (7**5, 4_321)],
     )
     def test_large_and_prime_power_n(self, n, k):
-        assert _binomial(n, k) == comb(n, k)
+        assert _binomial(n, k, _primes(n)) == comb(n, k)
 
     def test_sieve(self):
         for n in range(60):

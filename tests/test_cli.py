@@ -193,6 +193,20 @@ class TestBoundDigitLimit:
         assert captured.out == ""
         assert captured.err == f"resource limit: {side} has more than 4300 digits, the int-to-str limit\n"
 
+    @pytest.mark.parametrize(
+        "lhs, code", [(10**4300 - 1, 1), (10**4300, cli.EXIT_RESOURCE)], ids=["below", "at"]
+    )
+    def test_power_of_ten_boundary(self, capsys, digit_limit, monkeypatch, lhs, code):
+        report = bounds.BoundReport(5, 3, lhs, 1, False)
+        monkeypatch.setattr(bounds, "counting_inequality", lambda n, k: report)
+        assert cli.run(["--json", "bound", "--n", "5", "--k", "3"]) == code
+        captured = capsys.readouterr()
+        if code == 1:
+            assert json.loads(captured.out)["lhs"] == lhs and captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err == "resource limit: lhs has more than 4300 digits, the int-to-str limit\n"
+
 
 class TestCapBeforeBuild:
     """A generated graph over its command's cap is refused unbuilt, with the
@@ -393,7 +407,7 @@ class TestSearch:
         # 2^21 graphs at n = 7 and 2^66 at n = 12: refused before any
         # array or threshold
         monkeypatch.setattr(access, "qstar_threshold", None)
-        monkeypatch.setattr(access, "_edge_pairs", None)
+        monkeypatch.setattr(access, "_edge_bit", None)
         monkeypatch.setattr("numpy.arange", None)
         for n in ("7", "12"):
             assert cli.run(["search", "--n", n]) == cli.EXIT_RESOURCE

@@ -248,13 +248,19 @@ class TestGraph6Format:
             assert parse_graph(serialize_graph(g, "graph6"), "graph6") == g
 
     def test_matches_networkx(self):
+        # n = 0..70 crosses the one-byte / four-byte size boundary at 62 / 63
         nx = pytest.importorskip("networkx")
-        g = family("random", 12, p=0.3, seed=5)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges())
-        theirs = nx.to_graph6_bytes(nxg, header=False).strip().decode()
-        assert serialize_graph(g, "graph6") == theirs
+        rng = random.Random(5)
+        for n in range(71):
+            g = Graph.empty(0) if n == 0 else family("random", n, p=rng.random(), seed=n)
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(g.n))
+            nxg.add_edges_from(g.edges())
+            theirs = nx.to_graph6_bytes(nxg, header=False).strip().decode()
+            assert serialize_graph(g, "graph6") == theirs
+            back = nx.from_graph6_bytes(theirs.encode())
+            assert parse_graph(theirs, "graph6") == Graph.from_edges(n, back.edges())
+            assert back.number_of_nodes() == n
 
     def test_multibyte_vertex_count(self):
         g = family("cycle", 125)
@@ -265,6 +271,12 @@ class TestGraph6Format:
     def test_rejects_bad_padding(self):
         with pytest.raises(GraphParseError):
             parse_graph("D" + chr(63 + 63) + chr(63 + 63), "graph6")
+
+    @pytest.mark.parametrize("text", ["~~??", "~~??????", "~~~~~~~~"])
+    def test_vertex_count_capped_like_edgelist(self, text):
+        # a second '~' means n >= 258,048: refused before the body is sized
+        with pytest.raises(GraphParseError, match=f"^graph6 vertex count must be in 0..{_MAX_GRAPH6_N}$"):
+            parse_graph(text, "graph6")
 
     def test_rejects_truncation(self):
         with pytest.raises(GraphParseError):
