@@ -33,22 +33,50 @@ from .graphs import (
     serialize_graph,
 )
 from .protocol import ProtocolConfig, RecoveredSecret, Transcript, deal, privacy_probe, reconstruct
-from .quantum import (
-    DensityMatrix,
-    PauliOp,
-    StateVector,
-    apply_controlled_VC,
-    apply_isometry_UD,
-    apply_pauli,
-    distinguishability,
-    embed_secret,
-    encode_classical,
-    graph_state,
-    measure_access_observable,
-    reduced_density,
-)
 from .shamir import ClassicalShare
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def _lazy_submodule(name: str):
+    """The submodule ``name``, registered in sys.modules (so that ``import
+    graphqss.<name>`` and anything that walks the package's modules find
+    it) but run on its first attribute access."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f".{name}", __name__)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# quantum is the only module that loads NumPy, so integer-only work never
+# runs it; its twelve re-exports resolve through __getattr__
+quantum = _lazy_submodule("quantum")
+
+_QUANTUM_NAMES = (
+    "DensityMatrix",
+    "PauliOp",
+    "StateVector",
+    "apply_controlled_VC",
+    "apply_isometry_UD",
+    "apply_pauli",
+    "distinguishability",
+    "embed_secret",
+    "encode_classical",
+    "graph_state",
+    "measure_access_observable",
+    "reduced_density",
+)
+
+
+def __getattr__(name: str):
+    if name in _QUANTUM_NAMES:
+        return getattr(quantum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_QUANTUM_NAMES))

@@ -15,14 +15,14 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from multiprocessing import Pool
-from typing import NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
 from .graphs import Graph, VertexSet, bits, odd_neighborhood
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
@@ -298,6 +298,8 @@ def scan_size_k(
     total = comb(n, k)
     if jobs != 1 and k > 2 and total >= _PARALLEL_MIN_WORK:
         # every 2-vertex prefix that leaves room for the other k - 2 vertices
+        from multiprocessing import Pool
+
         tasks = [(g.adj, a.mask, k, p) for p in itertools.combinations(range(n - k + 2), 2)]
         with Pool(jobs) as pool:
             failure = next((f for f in pool.imap(_first_failure, tasks) if f is not None), None)
@@ -436,6 +438,8 @@ def _orbit_minima(n: int) -> np.ndarray:
     """Smallest mask of every edge mask's relabelling orbit, by the fixed
     point that ``exhaustive_graph_search`` describes.  Its image arrays are
     freed before any threshold is scanned."""
+    import numpy as np
+
     size = 1 << (n * (n - 1) // 2)
     label = np.arange(size, dtype=np.min_scalar_type(size - 1))
     images = []
@@ -499,6 +503,8 @@ def exhaustive_graph_search(n: int) -> list[int]:
         raise ResourceLimitError(f"n={n} exceeds exhaustive search limit {SEARCH_N_LIMIT}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    import numpy as np
+
     label = _orbit_minima(n)
     reps = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
     a = VertexSet.full(n)

@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from . import access, bounds, graphs, protocol, quantum
+from . import access, bounds, graphs, protocol
 from .errors import (
     GraphParseError,
     InsufficientSharesError,
@@ -232,6 +232,8 @@ def _cmd_family(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
+    from . import quantum
+
     g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, b = _sets(args, g)
     ov, dist = quantum.distinguishability(g, a, b)
@@ -256,6 +258,8 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_protocol_run(args) -> tuple[dict, int]:
+    from . import quantum
+
     g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, _ = _sets(args, g)
     try:

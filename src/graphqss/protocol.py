@@ -18,14 +18,14 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-import numpy as np
-
-from . import access, quantum, shamir
-from .errors import InsufficientSharesError, LocalityError, ProtocolStateError
+from . import access, shamir
+from .errors import InsufficientSharesError, LocalityError
 from .graphs import Graph, VertexSet, odd_neighborhood
-from .quantum import StateVector
+
+if TYPE_CHECKING:
+    from .quantum import StateVector
 
 FIDELITY_ATOL = 1e-9
 
@@ -84,6 +84,8 @@ def _padded_register(
     pair: tuple[StateVector, StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
 ) -> StateVector:
     """The embedded secret after the pad: X swaps the encodings, Z signs beta."""
+    from . import quantum
+
     beta = beta * (-1.0 if b_z else 1.0)
     return quantum._superpose(pair, beta, alpha) if b_x else quantum._superpose(pair, alpha, beta)
 
@@ -93,6 +95,8 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     alpha, beta = secret
     if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= FIDELITY_ATOL:  # NaN fails too
         raise ValueError("secret amplitudes are not normalized")
+    from . import quantum
+
     g, a = cfg.graph, cfg.access_set
     # the register is built first, so one over the qubit cap is refused
     # before any coalition is scanned
@@ -135,6 +139,8 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
         if outside:
             raise LocalityError(f"step {step} would act on qubits {outside} outside the coalition")
 
+    from . import quantum
+
     t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
     base = quantum.graph_state(g).amplitudes
     state = quantum._isometry_UD(t.register, g, d, base)
@@ -142,27 +148,12 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
     t.log.append(f"step b: correct with C={list(c_wit.members())}")
     state = quantum.apply_controlled_VC(state, g, a, c_wit)
 
-    half = 1 << g.n
-    amp0 = complex(np.vdot(base, state.amplitudes[:half]))
-    amp1 = complex(np.vdot(base, state.amplitudes[half:]))
-    residual = np.linalg.norm(state.amplitudes[:half] - amp0 * base) + np.linalg.norm(
-        state.amplitudes[half:] - amp1 * base
-    )
-    if not residual <= quantum.ATOL_ZERO_TEST:
-        raise ProtocolStateError("ancilla failed to disentangle from the graph register")
-
     selected = [t.shares[p] for p in players]
     b_x, b_z = shamir.unpack_pad(shamir.reconstruct(selected, need))
+    amp0, amp1, fidelity = quantum._ancilla_readout(state, base, t.secret, (b_x, b_z))
     t.log.append(f"step c: pad bits ({b_x}, {b_z}) from {need} shares")
-    if b_x:
-        amp0, amp1 = amp1, amp0
-    if b_z:
-        amp1 = -amp1
-
-    alpha, beta = t.secret
-    fidelity = abs(np.conj(alpha) * amp0 + np.conj(beta) * amp1) ** 2
     t.log.append(f"ancilla at player {players[0]}: fidelity={fidelity:.12f}")
-    return RecoveredSecret(amp0, amp1, float(fidelity))
+    return RecoveredSecret(amp0, amp1, fidelity)
 
 
 def privacy_probe(
@@ -180,6 +171,8 @@ def privacy_probe(
     lies inside a maximal one, and trace distance cannot grow under the
     partial trace that takes the larger view to the smaller.
     """
+    from . import quantum
+
     g, a = cfg.graph, cfg.access_set
     pair = quantum._encoded_pair(g, a)
     views = [

@@ -7,6 +7,9 @@ Conventions used throughout (and by everything downstream):
   highest index, i.e. the top half of the amplitude array);
 * reduced density matrices index their qubits by ascending vertex label.
 
+This is the package's only module that imports NumPy when it loads; the
+package runs it on first use, so integer-only work never loads NumPy.
+
 Tolerances: 1e-12 for algebraic identities (norms, fixpoints), 1e-10 for
 derived zero tests (overlap, trace distance, purity).  Registers are capped
 at ``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated.
@@ -107,15 +110,23 @@ def stabilizer_for(g: Graph, d: VertexSet) -> PauliOp:
 
 
 def graph_state(g: Graph) -> StateVector:
-    """Uniform-magnitude state whose sign at x counts induced edges mod 2."""
+    """Uniform-magnitude state whose sign at x counts induced edges mod 2.
+
+    Built by vertex doubling: once the amplitudes of every x below 2^v are
+    known, those of 2^v + x are the same times (-1)^|x & N(v)|, since x has
+    bits below v only and so meets only v's lower neighbours.  Each edge is
+    counted once, at its higher end.
+    """
     n = g.n
     if n > QUBIT_LIMIT:
         raise ResourceLimitError(f"{n} qubits exceeds limit {QUBIT_LIMIT}")
-    idx = np.arange(1 << n, dtype=np.uint64)
-    parity = np.zeros(1 << n, dtype=np.uint64)
-    for i, j in g.edges():
-        parity ^= (idx >> np.uint64(i)) & (idx >> np.uint64(j)) & np.uint64(1)
-    amps = (1.0 - 2.0 * parity.astype(np.float64)) / math.sqrt(1 << n)
+    sign = np.array([1.0, -1.0])
+    idx = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    amps = np.empty(1 << n)
+    amps[0] = 1.0 / math.sqrt(1 << n)
+    for v in range(n):
+        h = 1 << v
+        amps[h : 2 * h] = amps[:h] * sign[np.bitwise_count(idx[:h] & g.adj[v]) & 1]
     return StateVector(n, amps.astype(np.complex128))
 
 
@@ -262,6 +273,33 @@ def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> St
     if not np.linalg.norm(residual) <= ATOL_ZERO_TEST:
         raise ProtocolStateError("register is not a superposition of encoded graph states")
     return StateVector(g.n + 1, np.concatenate([plus, minus]))
+
+
+def _ancilla_readout(
+    s: StateVector, base: np.ndarray, secret: tuple[complex, complex], pad: tuple[int, int]
+) -> tuple[complex, complex, float]:
+    """The secret read off the ancilla of a corrected register, and its fidelity.
+
+    The register must be base (g's graph state) times the ancilla's
+    amp0|0> + amp1|1>.  The pad is then undone on the ancilla: X swaps the
+    amplitudes and Z signs amp1.  Returns (amp0, amp1, |<secret|amps>|^2).
+    """
+    half = len(base)
+    amp0 = complex(np.vdot(base, s.amplitudes[:half]))
+    amp1 = complex(np.vdot(base, s.amplitudes[half:]))
+    residual = np.linalg.norm(s.amplitudes[:half] - amp0 * base) + np.linalg.norm(
+        s.amplitudes[half:] - amp1 * base
+    )
+    if not residual <= ATOL_ZERO_TEST:
+        raise ProtocolStateError("ancilla failed to disentangle from the graph register")
+    b_x, b_z = pad
+    if b_x:
+        amp0, amp1 = amp1, amp0
+    if b_z:
+        amp1 = -amp1
+    alpha, beta = secret
+    fidelity = abs(np.conj(alpha) * amp0 + np.conj(beta) * amp1) ** 2
+    return amp0, amp1, float(fidelity)
 
 
 def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:

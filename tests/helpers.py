@@ -6,13 +6,15 @@ linear algebra on full reduced density matrices, never through the low-rank
 trace-norm kernel.  The exhaustive search reference scans every labelled
 graph, never relying on relabelling symmetry, the orbit reference applies
 every one of the n! relabellings, the min-k reference builds the whole
-counting sum, never bracketing it, and the GF(256) reference multiplies by
-shift-and-add, never through log tables.
+counting sum, never bracketing it, the GF(256) reference multiplies by
+shift-and-add, never through log tables, and the graph-state reference
+flips one parity bit per edge, never doubling over vertices.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from math import comb
 from typing import Optional
 
@@ -105,6 +107,18 @@ def induced_edge_count(g: Graph, support: int) -> int:
         for u, v in g.edges()
         if (support >> u) & 1 and (support >> v) & 1
     )
+
+
+def edge_parity_amplitudes(g: Graph) -> np.ndarray:
+    """Graph-state amplitudes: the sign at x is the parity of bit i AND bit j
+    summed over the edges (i, j), one whole-array XOR per edge."""
+    n = g.n
+    idx = np.arange(1 << n, dtype=np.uint64)
+    parity = np.zeros(1 << n, dtype=np.uint64)
+    for i, j in g.edges():
+        parity ^= (idx >> np.uint64(i)) & (idx >> np.uint64(j)) & np.uint64(1)
+    amps = (1.0 - 2.0 * parity.astype(np.float64)) / math.sqrt(1 << n)
+    return amps.astype(np.complex128)
 
 
 def overlap(rho0: DensityMatrix, rho1: DensityMatrix) -> float:

@@ -1,11 +1,21 @@
-"""Every name that a module of src/graphqss or a demo imports is used in it.
+"""Imports: every name that a module of src/graphqss or a demo imports is
+used in it; the package exports a fixed set of names; and only the commands
+that build amplitudes, orbit arrays or worker pools load NumPy or
+multiprocessing.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
-left out.
+left out of the unused-import check.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from graphqss import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +42,88 @@ def test_no_unused_imports():
         for path in modules + demos
     }
     assert {name: unused for name, unused in found.items() if unused} == {}
+
+
+PUBLIC_API = {
+    "AccessReport", "BoundReport", "CVerdict", "ClassicalShare", "DensityMatrix", "Graph", "PauliOp",
+    "ProtocolConfig", "QVerdict", "RecoveredSecret", "StateVector", "ThresholdReport", "Transcript",
+    "VertexSet", "WitnessPair", "access", "access_report", "apply_controlled_VC", "apply_isometry_UD",
+    "apply_pauli", "bounds", "c5_power", "classify_c", "complement", "counting_inequality", "deal",
+    "delta_complement", "distinguishability", "edge_mask_graph", "embed_secret", "encode_classical",
+    "errors", "exhaustive_graph_search", "family", "gf2", "graph_state", "graphs", "lexicographic_product",
+    "measure_access_observable", "min_feasible_k", "odd_neighborhood", "parse_graph", "privacy_probe",
+    "product_threshold_bound", "protocol", "pure_qss_feasibility", "q_accessing", "q_classify",
+    "qstar_threshold", "quantum", "reconstruct", "reconstruction_witnesses", "reduced_density",
+    "scan_size_k", "serialize_graph", "shamir", "small_witness",
+}
+
+
+def test_public_api():
+    import graphqss
+    from graphqss import graph_state, quantum
+
+    assert set(graphqss.__all__) == PUBLIC_API
+    for name in graphqss.__all__:
+        assert getattr(graphqss, name) is not None
+    assert graph_state is quantum.graph_state and graphqss.StateVector is quantum.StateVector
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(graphqss, "no_such_name")
+
+
+# runs the argv lists it is given through cli.run in one interpreter; prints,
+# per command, its exit code, stdout and which heavy modules are loaded after it
+CHILD = """
+import contextlib, io, json, sys
+import graphqss, graphqss.cli, graphqss.protocol
+
+report = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = graphqss.cli.run(argv)
+    report.append([code, out.getvalue(), [m for m in ("numpy", "multiprocessing") if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+INTEGER_COMMANDS = [
+    ["bound", "--min-k", "--n", "10000"],
+    ["bound", "--pure-qss", "--max-k", "60"],
+    ["bound", "--n", "100", "--k", "51"],
+    ["classify", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
+    ["witness", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
+    ["threshold", "--family", "c5pow", "--i", "1"],
+    ["product", "--n1", "5", "--k1", "3", "--n2", "5", "--k2", "3"],
+    ["family", "--family", "random", "--n", "6", "--p", "0.5", "--seed", "2"],
+]
+NUMPY_COMMANDS = [
+    ["simulate", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
+    ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"],
+    ["search", "--n", "4"],
+]
+
+
+def _fresh_run(commands):
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(commands)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _in_process(capsys, argv):
+    code = cli.run(argv)
+    return [code, capsys.readouterr().out]
+
+
+def test_integer_commands_load_neither_numpy_nor_multiprocessing(capsys):
+    report = _fresh_run(INTEGER_COMMANDS)
+    for argv, (code, out, heavy) in zip(INTEGER_COMMANDS, report):
+        assert heavy == [], argv
+        assert [code, out] == _in_process(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
+def test_statevector_and_search_commands_load_numpy(capsys, argv):
+    [(code, out, heavy)] = _fresh_run([argv])
+    assert "numpy" in heavy
+    assert [code, out] == _in_process(capsys, argv)

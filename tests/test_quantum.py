@@ -25,7 +25,7 @@ from graphqss.quantum import (
     stabilizer_for,
     trace_norm,
 )
-from helpers import all_graphs, induced_edge_count, overlap, trace_distance
+from helpers import all_graphs, edge_parity_amplitudes, induced_edge_count, overlap, trace_distance
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -61,6 +61,14 @@ class TestGraphState:
     def test_qubit_limit(self):
         with pytest.raises(ResourceLimitError):
             graph_state(family("cycle", 13))
+
+    def test_vertex_doubling_bit_identical_to_edge_parity(self):
+        rng = random.Random(12)
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [family("random", n, p=0.5, seed=rng.randrange(10**6)) for n in range(6, 13) for _ in range(6)]
+        assert len(graphs) == 1100 + 42
+        for g in graphs:
+            assert graph_state(g).amplitudes.tobytes() == edge_parity_amplitudes(g).tobytes(), g
 
 
 class TestApplyPauli:
