@@ -5,8 +5,10 @@ inside B and odd overlap with the encoding set A, and *blind* when some C in
 the complement of B reproduces A's pattern on B.  Exactly one of the two
 always holds, decided by whether the A-pattern on B lies in the row space of
 the cut matrix.  Quantum accessibility combines the verdicts of B and its
-complement.  Every verdict is exact GF(2) arithmetic on bitmasks; the
-exhaustive search labels relabelling orbits with NumPy integer arrays.
+complement.  Every verdict is exact GF(2) arithmetic on bitmasks, and a
+threshold comes from the smallest support of a stabilizer-group coset
+element; the exhaustive search labels relabelling orbits with NumPy integer
+arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ KERNEL_DIM_LIMIT = 24
 # n = 7 sweeps in under a second, but it has 125,670 labelled attainers to
 # print; checked before the 2^(n(n-1)/2)-entry label arrays are built
 SEARCH_N_LIMIT = 6
-_PARALLEL_MIN_WORK = 200_000
 
 
 class CVerdict(Enum):
@@ -98,18 +99,6 @@ def _check_a(g: Graph, a: VertexSet) -> None:
 def _check_inputs(g: Graph, a: VertexSet, b: VertexSet) -> None:
     _check_b(g, b)
     _check_a(g, a)
-
-
-def _combination_rank(members: tuple[int, ...], n: int) -> int:
-    """Position of a sorted k-subset in the lexicographic enumeration."""
-    k = len(members)
-    r = 0
-    prev = -1
-    for i, c in enumerate(members):
-        for v in range(prev + 1, c):
-            r += comb(n - 1 - v, k - 1 - i)
-        prev = c
-    return r
 
 
 def _accessing(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int) -> bool:
@@ -255,93 +244,96 @@ def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[Vert
 # -- coalition scans and thresholds ---------------------------------------------
 
 
-def _first_failure(task: tuple[tuple[int, ...], int, int, tuple[int, ...]]) -> Optional[tuple[int, ...]]:
-    """Lexicographically first non-accessing k-set starting with ``prefix``, or None.
+def _distance(adj: tuple[int, ...], mask_a: int) -> int:
+    """Smallest support d of an element of L = {K_D : |D & A| odd} u Z_A.S.
 
-    The task ``(adj, mask_a, k, prefix)`` carries the whole graph, so the
-    serial scan and every pool worker run this same loop with no shared state.
+    K_D = X_D Z_Odd(D) has support D u Odd(D), and Z_A.K_D has support
+    D u (Odd(D) ^ A).  A depth-first walk over sets D in increasing vertex
+    order carries Odd(D) by one XOR per step and scores both supports.  It
+    starts from best = |A| (Z_A itself, D empty); every support contains its
+    D, so a set of best or more vertices cannot improve on best, and the walk
+    extends D only while |D| + 1 < best.  Exact, and it visits the sets D of
+    fewer than d vertices rather than all 2^n.
     """
-    adj, mask_a, k, prefix = task
     n = len(adj)
-    full = (1 << n) - 1
-    base = 0
-    for v in prefix:
-        base |= 1 << v
-    lo = prefix[-1] + 1 if prefix else 0
-    for tail in itertools.combinations(range(lo, n), k - len(prefix)):
-        mask = base
-        for v in tail:
-            mask |= 1 << v
-        if not _q_accessing_masks(adj, mask_a, mask, full):
-            return prefix + tail
-    return None
+    best = mask_a.bit_count()
+    stack = [(0, 0, 0, 0)]  # D, Odd(D), |D & A| mod 2, first vertex to add
+    while stack:
+        d, odd, parity, start = stack.pop()
+        size = d.bit_count() + 1  # of every D this entry extends to
+        if size >= best:
+            continue
+        for v in range(start, n):
+            dv = d | (1 << v)
+            ov = odd ^ adj[v]
+            pv = parity ^ (mask_a >> v) & 1
+            w = (dv | (ov ^ mask_a)).bit_count()
+            if pv:
+                w = min(w, (dv | ov).bit_count())
+            if w < best:
+                best = w
+            if size + 1 < best:
+                stack.append((dv, ov, pv, v + 1))
+    return best
 
 
-def scan_size_k(
-    g: Graph,
-    a: VertexSet,
-    k: int,
-    jobs: Optional[int] = None,
-) -> ScanResult:
+def scan_size_k(g: Graph, a: VertexSet, k: int) -> ScanResult:
     """Check every size-k coalition for quantum accessibility.
 
-    The scan runs in lexicographic coalition order (possibly split across
-    worker processes); the reported failure is always the lexicographically
-    smallest one and ``checked`` counts canonical serial work (position of
-    the first failure, or C(n, k) when all pass), so the result is identical
-    under any scheduling.
+    The scan runs in lexicographic coalition order and stops at the first
+    failure; ``checked`` is that failure's position, or C(n, k) when all pass.
     """
     _check_a(g, a)
     if not 0 <= k <= g.n:
         raise ValueError(f"k={k} outside 0..{g.n}")
     n = g.n
-    total = comb(n, k)
-    if jobs != 1 and k > 2 and total >= _PARALLEL_MIN_WORK:
-        # every 2-vertex prefix that leaves room for the other k - 2 vertices
-        from multiprocessing import Pool
-
-        tasks = [(g.adj, a.mask, k, p) for p in itertools.combinations(range(n - k + 2), 2)]
-        with Pool(jobs) as pool:
-            failure = next((f for f in pool.imap(_first_failure, tasks) if f is not None), None)
-    else:
-        failure = _first_failure((g.adj, a.mask, k, ()))
-
-    if failure is None:
-        return ScanResult(True, None, total)
-    return ScanResult(
-        False,
-        VertexSet.from_iterable(n, failure),
-        _combination_rank(failure, n) + 1,
-    )
+    full = (1 << n) - 1
+    for position, team in enumerate(itertools.combinations(range(n), k), 1):
+        mask = 0
+        for v in team:
+            mask |= 1 << v
+        if not _q_accessing_masks(g.adj, a.mask, mask, full):
+            return ScanResult(False, VertexSet(n, mask), position)
+    return ScanResult(True, None, comb(n, k))
 
 
 def qstar_threshold(
     g: Graph,
     a: Optional[VertexSet] = None,
     *,
-    jobs: Optional[int] = None,
+    jobs: Optional[int] = None,  # ignored: perfbench/workloads.py still passes jobs=1
 ) -> ThresholdReport:
     """Smallest k such that every size-k coalition is quantum-accessing.
 
-    Scans sizes upward (quantum accessibility is upward monotone, a property
-    the test suite verifies exhaustively on small graphs), stopping at the
-    first size with no failure.  The failing set recorded for size k_star - 1
-    certifies minimality.  Refuses graphs over ``ENUMERATION_LIMIT`` vertices.
+    A coalition B fails exactly when its complement holds the support of an
+    element of L (see ``_distance``): B is accessing iff some K_D with
+    |D & A| odd lies inside B, and blind iff some Z_A.K_C lies outside it.
+    So every k-set passes iff n - k < d, the smallest support in L, and
+    k* = n + 1 - d.  The walk behind d extends a set D only while it has
+    fewer vertices than the best support found, so it never reaches the
+    C(n, k*) coalitions of the passing size.
+
+    Sizes 1..k*-1 are scanned in lexicographic order up to their first
+    failure; the one of size k* - 1 certifies minimality.  ``sets_checked``
+    is the canonical tally of the upward scan: 1 for the empty coalition, the
+    position of each first failure, and C(n, k*).  Refuses graphs over
+    ``ENUMERATION_LIMIT`` vertices before any work.
     """
     if a is None:
         a = VertexSet.full(g.n)
     _check_a(g, a)
     if g.n > ENUMERATION_LIMIT:
         raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    prev_fail = VertexSet.empty(g.n)  # the empty coalition is always blind
-    checked = 1
-    for k in range(1, g.n + 1):
-        scan = scan_size_k(g, a, k, jobs=jobs)
-        checked += scan.checked
+    k_star = g.n + 1 - _distance(g.adj, a.mask)
+    fail = VertexSet.empty(g.n)  # the empty coalition is always blind
+    checked = 1 + comb(g.n, k_star)
+    for k in range(1, k_star):
+        scan = scan_size_k(g, a, k)
         if scan.all_accessing:
-            return ThresholdReport(k, prev_fail, checked)
-        prev_fail = scan.first_failure
-    raise RuntimeError("the full vertex set must be quantum-accessing when A is non-empty")
+            raise RuntimeError(f"every size-{k} coalition accesses, below k*={k_star}")
+        fail = scan.first_failure
+        checked += scan.checked
+    return ThresholdReport(k_star, fail, checked)
 
 
 def product_threshold_bound(n1: int, k1: int, n2: int, k2: int) -> tuple[int, int]:
@@ -437,7 +429,7 @@ def _delta_swap(x: np.ndarray, low: int, shift: int) -> np.ndarray:
 def _orbit_minima(n: int) -> np.ndarray:
     """Smallest mask of every edge mask's relabelling orbit, by the fixed
     point that ``exhaustive_graph_search`` describes.  Its image arrays are
-    freed before any threshold is scanned."""
+    freed before any threshold is computed."""
     import numpy as np
 
     size = 1 << (n * (n - 1) // 2)
@@ -464,8 +456,9 @@ def exhaustive_graph_search(n: int) -> list[int]:
     order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., so results are
     reproducible.  One threshold is computed per isomorphism class: each
     mask is labelled with the smallest mask of its orbit under relabelling,
-    the graphs of those smallest masks are scanned in ascending order, and
-    each k* then labels its whole orbit.  The orbit is closed under the
+    the graphs of those smallest masks get k* = n + 1 - d from the code
+    distance d (see ``qstar_threshold``) in ascending order, and each k* then
+    labels its whole orbit.  The orbit is closed under the
     adjacent transpositions (t t+1), which generate S_n.
 
     The labelling is whole-array NumPy work, in the narrowest unsigned type
@@ -487,7 +480,7 @@ def exhaustive_graph_search(n: int) -> list[int]:
       own label, and the constant is that minimum.
 
     The orbit minimum is the first mask of its orbit in ascending order, so
-    the scanned graphs and their order do not depend on how labels spread.
+    the graphs computed and their order do not depend on how labels spread.
 
     Relabelling keeps k*.  A relabelling pi maps every size-k coalition B of
     G to the size-k coalition pi(B) of pi(G), and B is quantum-accessing in G
@@ -507,8 +500,8 @@ def exhaustive_graph_search(n: int) -> list[int]:
 
     label = _orbit_minima(n)
     reps = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
-    a = VertexSet.full(n)
+    full = (1 << n) - 1
     k_of = np.zeros_like(label)
     for r in reps.tolist():
-        k_of[r] = qstar_threshold(edge_mask_graph(n, r), a, jobs=1).k_star
+        k_of[r] = n + 1 - _distance(edge_mask_graph(n, r).adj, full)
     return k_of[label].tolist()

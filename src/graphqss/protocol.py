@@ -77,7 +77,7 @@ class Transcript:
 
 @lru_cache(maxsize=256)
 def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
-    return access.scan_size_k(g, a, k).all_accessing
+    return k >= g.n + 1 - access._distance(g.adj, a.mask)
 
 
 def _padded_register(

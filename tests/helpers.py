@@ -4,11 +4,14 @@ Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
 trace-norm kernel.  The exhaustive search reference scans every labelled
-graph, never relying on relabelling symmetry, the orbit reference applies
-every one of the n! relabellings, the min-k reference builds the whole
-counting sum, never bracketing it, the GF(256) reference multiplies by
-shift-and-add, never through log tables, and the graph-state reference
-flips one parity bit per edge, never doubling over vertices.
+graph, never relying on relabelling symmetry, the threshold reference scans
+every size's coalitions in lexicographic order, never through the code
+distance, the distance reference scores all 2^n sets D, never pruning by
+size, the orbit reference applies every one of the n! relabellings, the
+min-k reference builds the whole counting sum, never bracketing it, the
+GF(256) reference multiplies by shift-and-add, never through log tables,
+and the graph-state reference flips one parity bit per edge, never doubling
+over vertices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from graphqss.access import qstar_threshold
+from graphqss.access import ThresholdReport, _q_accessing_masks
 from graphqss.graphs import Graph, VertexSet, odd_neighborhood
 from graphqss.quantum import DensityMatrix
 
@@ -93,11 +96,42 @@ def brute_orbit_minima(n: int) -> list[int]:
     return best
 
 
+def lex_threshold(g: Graph, a: VertexSet) -> ThresholdReport:
+    """The threshold report by the upward lexicographic scan: each size from
+    1 up is scanned to its first failing coalition, until a size passes in
+    full.  The tally counts the empty coalition, the position of each first
+    failure, and every coalition of the passing size."""
+    n, full = g.n, (1 << g.n) - 1
+    fail, checked = VertexSet.empty(n), 1
+    for k in range(1, n + 1):
+        for position, team in enumerate(itertools.combinations(range(n), k), 1):
+            mask = sum(1 << v for v in team)
+            if not _q_accessing_masks(g.adj, a.mask, mask, full):
+                fail, checked = VertexSet(n, mask), checked + position
+                break
+        else:
+            return ThresholdReport(k, fail, checked + comb(n, k))
+    raise AssertionError("the full vertex set must be quantum-accessing")
+
+
+def brute_distance(g: Graph, a: VertexSet) -> int:
+    """Smallest support over every D of K_D (when |D & a| is odd) and of
+    Z_a.K_D, whose supports are D | Odd(D) and D | (Odd(D) ^ a)."""
+    best = g.n
+    for mask in range(1 << g.n):
+        d = VertexSet(g.n, mask)
+        odd = odd_neighborhood(g, d).mask
+        best = min(best, len(d | VertexSet(g.n, odd ^ a.mask)))
+        if len(d & a) % 2 == 1:
+            best = min(best, len(d | VertexSet(g.n, odd)))
+    return best
+
+
 def labelled_graph_search(n: int) -> list[int]:
     """k* with A = V of every labelled graph on n vertices, one threshold
     per graph, in edge-mask order."""
     a = VertexSet.full(n)
-    return [qstar_threshold(g, a, jobs=1).k_star for g in all_graphs(n)]
+    return [lex_threshold(g, a).k_star for g in all_graphs(n)]
 
 
 def induced_edge_count(g: Graph, support: int) -> int:

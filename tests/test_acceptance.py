@@ -92,14 +92,14 @@ def test_criterion_03_product_threshold():
     rep = qstar_threshold(g)
     elapsed = time.perf_counter() - t0
     assert rep.k_star == 17
-    # every size-17 coalition was checked (the passing size contributes its
-    # full count to the canonical tally)
+    # C(25, 17) is the canonical tally of the passing size: the distance walk
+    # proves every size-17 coalition accessing without scanning them
     assert rep.sets_checked >= comb(25, 17)
     cert = rep.certificate_fail
     assert len(cert) == 16
     assert not q_accessing(g, VertexSet.full(25), cert)
     assert cert.members() == (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 20, 21)
-    assert elapsed < 300.0
+    assert elapsed < 20.0
     report(
         3,
         f"C5*C5: all {comb(25, 17):,} 17-sets access, 16-set certificate "

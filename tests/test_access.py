@@ -1,5 +1,4 @@
 import itertools
-import multiprocessing
 import random
 
 import pytest
@@ -35,8 +34,10 @@ from helpers import (
     all_graphs,
     brute_accessing_witness,
     brute_blind_witness,
+    brute_distance,
     brute_orbit_minima,
     labelled_graph_search,
+    lex_threshold,
 )
 
 C5 = family("cycle", 5)
@@ -215,8 +216,9 @@ class TestThreshold:
         assert rep.k_star == 1 and rep.certificate_fail.members() == ()
 
     def test_enumeration_cap(self, monkeypatch):
-        # refused before any coalition is scanned
+        # refused before the distance walk or any coalition scan
         monkeypatch.setattr(access, "scan_size_k", None)
+        monkeypatch.setattr(access, "_distance", None)
         with pytest.raises(ResourceLimitError, match="n=27 exceeds enumeration limit 26"):
             qstar_threshold(family("cycle", 27))
 
@@ -238,30 +240,71 @@ class TestThreshold:
             )
             assert ok == (size >= rep.k_star)
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(access, "_PARALLEL_MIN_WORK", 1)
+    @staticmethod
+    def _check_scan(g, a, k):
+        # the lex scan against q_accessing on every coalition of the size
+        teams = [vs(g.n, team) for team in itertools.combinations(range(g.n), k)]
+        failures = [i for i, b in enumerate(teams) if not q_accessing(g, a, b)]
+        scan = scan_size_k(g, a, k)
+        if failures:
+            assert scan == access.ScanResult(False, teams[failures[0]], failures[0] + 1)
+        else:
+            assert scan == access.ScanResult(True, None, len(teams))
+
+    def test_parallel_matches_serial(self):
+        # there is no worker pool: jobs=2 is ignored and gives the serial report
         g = lexicographic_product(C5, family("path", 2))
         a = VertexSet.full(10)
         for k in (4, 6, 7, 8):
-            serial = scan_size_k(g, a, k, jobs=1)
-            parallel = scan_size_k(g, a, k, jobs=2)
-            assert serial == parallel
+            self._check_scan(g, a, k)
+        serial = qstar_threshold(g, a, jobs=1)
+        assert qstar_threshold(g, a, jobs=2) == serial == lex_threshold(g, a)
 
-    def test_pool_under_spawn_matches_serial(self, monkeypatch):
-        # spawned workers start from a fresh import: each task must carry its graph
-        monkeypatch.setattr(access, "_PARALLEL_MIN_WORK", 1)
+    def test_pool_under_spawn_matches_serial(self):
+        # the cases that once ran in spawned workers, now on the serial scan
         g = lexicographic_product(C5, family("path", 2))
         cases = [
             (VertexSet.full(10), 7),  # every 7-set accesses
-            (VertexSet.from_iterable(10, range(1, 10)), 8),  # fails in the last task
+            (VertexSet.from_iterable(10, range(1, 10)), 8),  # fails late in lex order
         ]
-        old = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method("spawn", force=True)
-        try:
-            for a, k in cases:
-                assert scan_size_k(g, a, k, jobs=2) == scan_size_k(g, a, k, jobs=1)
-        finally:
-            multiprocessing.set_start_method(old, force=True)
+        for a, k in cases:
+            self._check_scan(g, a, k)
+            assert qstar_threshold(g, a, jobs=2) == lex_threshold(g, a)
+
+    def test_matches_lex_oracle_on_every_small_pair(self):
+        # every field of the report, for every (G, A) with n <= 5
+        pairs = 0
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for amask in range(1, 1 << n):
+                    a = VertexSet(n, amask)
+                    assert qstar_threshold(g, a) == lex_threshold(g, a), (g.adj, amask)
+                    pairs += 1
+        assert pairs == 1 + 2 * 3 + 8 * 7 + 64 * 15 + 1024 * 31
+
+    def test_matches_lex_oracle_on_random_pairs(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = family("random", n, p=rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(10**6))
+            a = VertexSet(n, rng.randrange(1, 1 << n))
+            assert qstar_threshold(g, a) == lex_threshold(g, a), (g.adj, a.mask)
+
+    def test_distance_matches_brute_force(self):
+        cases = [(g, VertexSet(g.n, m)) for n in range(1, 5) for g in all_graphs(n) for m in range(1, 1 << n)]
+        rng = random.Random(8)
+        for _ in range(200):
+            n = rng.randint(5, 8)
+            g = family("random", n, p=rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
+            cases.append((g, VertexSet(n, rng.randrange(1, 1 << n))))
+        for g, a in cases:
+            assert access._distance(g.adj, a.mask) == brute_distance(g, a), (g.adj, a.mask)
+
+    def test_size_below_k_star_passing_is_internal_error(self, monkeypatch):
+        # d = 1 would put k* at 5 on C5, but every 3-set accesses
+        monkeypatch.setattr(access, "_distance", lambda adj, mask_a: 1)
+        with pytest.raises(RuntimeError, match="every size-3 coalition accesses, below k\\*=5"):
+            qstar_threshold(C5)
 
     def test_scan_counts_are_canonical(self):
         scan = scan_size_k(C5, A5, 3)
@@ -296,7 +339,7 @@ class TestProductBound:
             if g1.n * g2.n > 15:
                 continue
             _, k = product_threshold_bound(g1.n, k1, g2.n, k2)
-            got = qstar_threshold(lexicographic_product(g1, g2), jobs=1)
+            got = qstar_threshold(lexicographic_product(g1, g2))
             assert got.k_star <= k
 
 
@@ -446,17 +489,19 @@ class TestExhaustiveSearch:
 
     def test_one_threshold_per_isomorphism_class(self, monkeypatch):
         scanned = {n: [] for n in range(1, 7)}
-        scan = access.qstar_threshold
+        distance = access._distance
 
         def edge_mask(n, edges):
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
             return sum(1 << pairs.index((min(u, v), max(u, v))) for u, v in edges)
 
-        def recording(g, *args, **kwargs):
-            scanned[g.n].append(edge_mask(g.n, g.edges()))
-            return scan(g, *args, **kwargs)
+        def recording(adj, mask_a):
+            n = len(adj)
+            assert mask_a == (1 << n) - 1
+            scanned[n].append(edge_mask(n, Graph(n, adj).edges()))
+            return distance(adj, mask_a)
 
-        monkeypatch.setattr(access, "qstar_threshold", recording)
+        monkeypatch.setattr(access, "_distance", recording)
         for n in range(1, 7):
             exhaustive_graph_search(n)
         # unlabelled graphs on n vertices, OEIS A000088

@@ -407,6 +407,7 @@ class TestSearch:
         # 2^21 graphs at n = 7 and 2^66 at n = 12: refused before any
         # array or threshold
         monkeypatch.setattr(access, "qstar_threshold", None)
+        monkeypatch.setattr(access, "_distance", None)
         monkeypatch.setattr(access, "_edge_bit", None)
         monkeypatch.setattr("numpy.arange", None)
         for n in ("7", "12"):

@@ -1,6 +1,6 @@
 """Imports: every name that a module of src/graphqss or a demo imports is
-used in it; the package exports a fixed set of names; and only the commands
-that build amplitudes, orbit arrays or worker pools load NumPy or
+used in it; the package exports a fixed set of names; only the commands
+that build amplitudes or orbit arrays load NumPy; and no command loads
 multiprocessing.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
@@ -92,6 +92,7 @@ INTEGER_COMMANDS = [
     ["classify", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
     ["witness", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
     ["threshold", "--family", "c5pow", "--i", "1"],
+    ["threshold", "--family", "c5pow", "--i", "2"],
     ["product", "--n1", "5", "--k1", "3", "--n2", "5", "--k2", "3"],
     ["family", "--family", "random", "--n", "6", "--p", "0.5", "--seed", "2"],
 ]
@@ -125,5 +126,5 @@ def test_integer_commands_load_neither_numpy_nor_multiprocessing(capsys):
 @pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
 def test_statevector_and_search_commands_load_numpy(capsys, argv):
     [(code, out, heavy)] = _fresh_run([argv])
-    assert "numpy" in heavy
+    assert "numpy" in heavy and "multiprocessing" not in heavy
     assert [code, out] == _in_process(capsys, argv)

@@ -107,7 +107,7 @@ class TestDeal:
 
     def test_qubit_cap_refused_before_scanning(self, monkeypatch):
         # k = 3 is infeasible on a 13-cycle; the register cap decides first
-        monkeypatch.setattr(access, "scan_size_k", None)
+        monkeypatch.setattr(access, "_distance", None)
         g = family("cycle", 13)
         with pytest.raises(ResourceLimitError, match="13 qubits exceeds limit 12"):
             deal(ProtocolConfig(g, VertexSet.full(13), 3), (0.6, 0.8))
