@@ -7,8 +7,8 @@ always holds, decided by whether the A-pattern on B lies in the row space of
 the cut matrix.  Quantum accessibility combines the verdicts of B and its
 complement.  Every verdict is exact GF(2) arithmetic on bitmasks, and a
 threshold comes from the smallest support of a stabilizer-group coset
-element; the exhaustive search labels relabelling orbits with NumPy integer
-arrays.
+element; the exhaustive search finds it for every labelled graph at once
+with NumPy integer arrays.
 """
 
 from __future__ import annotations
@@ -17,19 +17,16 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
 from .graphs import Graph, VertexSet, bits, odd_neighborhood
 
-if TYPE_CHECKING:
-    import numpy as np
-
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
 # n = 7 sweeps in under a second, but it has 125,670 labelled attainers to
-# print; checked before the 2^(n(n-1)/2)-entry label arrays are built
+# print; checked before the 2^(n(n-1)/2)-entry neighbour arrays are built
 SEARCH_N_LIMIT = 6
 
 
@@ -420,74 +417,18 @@ def edge_mask_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _delta_swap(x: np.ndarray, low: int, shift: int) -> np.ndarray:
-    """x with every bit set in ``low`` traded with the bit ``shift`` places up."""
-    y = ((x >> shift) ^ x) & low
-    return x ^ y ^ (y << shift)
-
-
-def _orbit_minima(n: int) -> np.ndarray:
-    """Smallest mask of every edge mask's relabelling orbit, by the fixed
-    point that ``exhaustive_graph_search`` describes.  Its image arrays are
-    freed before any threshold is computed."""
-    import numpy as np
-
-    size = 1 << (n * (n - 1) // 2)
-    label = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    images = []
-    for t in range(n - 1):
-        img = _delta_swap(label, sum(1 << _edge_bit(n, j, t) for j in range(t)), 1)
-        block = ((1 << (n - t - 2)) - 1) << _edge_bit(n, t, t + 2)
-        images.append(_delta_swap(img, block, n - t - 2))
-    while True:
-        new = label
-        for img in images:
-            new = np.minimum(new, new[img])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def exhaustive_graph_search(n: int) -> list[int]:
     """Threshold k* (with A = V) of every labelled graph on n vertices.
 
     Entry ``mask`` belongs to ``edge_mask_graph(n, mask)``, whose edge bit
     order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., so results are
-    reproducible.  One threshold is computed per isomorphism class: each
-    mask is labelled with the smallest mask of its orbit under relabelling,
-    the graphs of those smallest masks get k* = n + 1 - d from the code
-    distance d (see ``qstar_threshold``) in ascending order, and each k* then
-    labels its whole orbit.  The orbit is closed under the
-    adjacent transpositions (t t+1), which generate S_n.
-
-    The labelling is whole-array NumPy work, in the narrowest unsigned type
-    that holds every mask.  One image array per transposition holds the
-    image of every mask, from two delta swaps on the label array: bit
-    (j, t), for each j < t, trades with (j, t+1), one place up; the block
-    (t, t+2..n-1) trades with the block (t+1, t+2..n-1), n - t - 2 places
-    up.  Every other edge bit is fixed.  Starting from ``label[x] = x``, each round lowers
-    ``label[x]`` to ``label[img[x]]`` for every image in turn, then
-    pointer-jumps ``label = label[label]``; it stops at the first round that
-    changes nothing.  This is exact:
-
-    - every label is a mask in the same orbit, as both steps only copy the
-      label of a mask in that orbit;
-    - the transpositions are involutions, so at the fixed point
-      ``label[x] <= label[img[x]]`` and ``label[img[x]] <= label[x]``: the
-      label is constant along every generator edge, hence on the orbit;
-    - labels never rise above their mask, so the orbit's minimum keeps its
-      own label, and the constant is that minimum.
-
-    The orbit minimum is the first mask of its orbit in ascending order, so
-    the graphs computed and their order do not depend on how labels spread.
-
-    Relabelling keeps k*.  A relabelling pi maps every size-k coalition B of
-    G to the size-k coalition pi(B) of pi(G), and B is quantum-accessing in G
-    exactly when pi(B) is in pi(G) with the encoding set pi(A); A = V is
-    fixed by every pi, so k*(pi(G)) = k*(G).  Local complementation is not
-    used: at v it maps (G, V) to (G*v, V minus N(v)), so it does not keep
-    A = V.
+    reproducible.  Each k* is n + 1 - d, with d the smallest support in L
+    (see ``_distance`` and ``qstar_threshold``), found for every mask at once
+    by whole-array NumPy work in the narrowest unsigned type that holds a
+    vertex set.  One array per vertex holds that vertex's neighbour mask in
+    every graph; d starts at n (Z_V itself, D empty), and a Gray-code walk
+    over the nonempty sets D carries Odd(D) by one XOR per step and lowers d
+    to the support D | (Odd(D) ^ V), and to D | Odd(D) when |D| is odd.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
     array is built.
@@ -498,10 +439,25 @@ def exhaustive_graph_search(n: int) -> list[int]:
         raise ValueError("n must be >= 1")
     import numpy as np
 
-    label = _orbit_minima(n)
-    reps = np.flatnonzero(label == np.arange(label.size, dtype=label.dtype))
+    size = 1 << (n * (n - 1) // 2)
+    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
     full = (1 << n) - 1
-    k_of = np.zeros_like(label)
-    for r in reps.tolist():
-        k_of[r] = n + 1 - _distance(edge_mask_graph(n, r).adj, full)
-    return k_of[label].tolist()
+    vertex_set = np.min_scalar_type(full)
+    adj = [np.zeros(size, dtype=vertex_set) for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            edge = ((masks >> _edge_bit(n, i, j)) & 1).astype(vertex_set)
+            adj[i] |= edge << j
+            adj[j] |= edge << i
+    best = np.full(size, n, dtype=vertex_set)
+    odd = np.zeros(size, dtype=vertex_set)
+    d = 0
+    for step in range(1, 1 << n):
+        v = (step & -step).bit_length() - 1
+        d ^= 1 << v
+        odd ^= adj[v]
+        w = np.bitwise_count(odd ^ full | d)
+        if d.bit_count() % 2:
+            w = np.minimum(w, np.bitwise_count(odd | d))
+        np.minimum(best, w, out=best)
+    return (n + 1 - best).tolist()

@@ -84,6 +84,8 @@ def reconstruct(shares: Sequence[ClassicalShare], k: int) -> int:
     indices = [s.index for s in shares]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate share indices")
+    if not all(1 <= s.index <= 255 and 0 <= s.value <= 255 for s in shares):
+        raise ValueError("share indices must be in 1..255 and values in 0..255")
     chosen = sorted(shares)[:k]
     secret = 0
     for i, (xi, yi) in enumerate(chosen):

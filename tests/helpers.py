@@ -7,11 +7,10 @@ trace-norm kernel.  The exhaustive search reference scans every labelled
 graph, never relying on relabelling symmetry, the threshold reference scans
 every size's coalitions in lexicographic order, never through the code
 distance, the distance reference scores all 2^n sets D, never pruning by
-size, the orbit reference applies every one of the n! relabellings, the
-min-k reference builds the whole counting sum, never bracketing it, the
-GF(256) reference multiplies by shift-and-add, never through log tables,
-and the graph-state reference flips one parity bit per edge, never doubling
-over vertices.
+size, the min-k reference builds the whole counting sum, never bracketing
+it, the GF(256) reference multiplies by shift-and-add, never through log
+tables, and the graph-state reference flips one parity bit per edge, never
+doubling over vertices.
 """
 
 from __future__ import annotations
@@ -81,19 +80,6 @@ def all_graphs(n: int):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         yield Graph(n, tuple(adj))
-
-
-def brute_orbit_minima(n: int) -> list[int]:
-    """Smallest image of every edge mask under all n! vertex relabellings."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {pair: idx for idx, pair in enumerate(pairs)}
-    best = list(range(1 << len(pairs)))
-    for perm in itertools.permutations(range(n)):
-        dest = [1 << index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs]
-        for mask in range(len(best)):
-            image = sum(bit for idx, bit in enumerate(dest) if (mask >> idx) & 1)
-            best[mask] = min(best[mask], image)
-    return best
 
 
 def lex_threshold(g: Graph, a: VertexSet) -> ThresholdReport:

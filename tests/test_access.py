@@ -35,7 +35,6 @@ from helpers import (
     brute_accessing_witness,
     brute_blind_witness,
     brute_distance,
-    brute_orbit_minima,
     labelled_graph_search,
     lex_threshold,
 )
@@ -251,25 +250,21 @@ class TestThreshold:
         else:
             assert scan == access.ScanResult(True, None, len(teams))
 
-    def test_parallel_matches_serial(self):
-        # there is no worker pool: jobs=2 is ignored and gives the serial report
+    @pytest.mark.parametrize(
+        "a, sizes",
+        [
+            (VertexSet.full(10), (4, 6, 7, 8)),  # every 7-set accesses
+            (VertexSet.from_iterable(10, range(1, 10)), (8,)),  # fails late in lex order
+        ],
+        ids=["a_all", "a_without_0"],
+    )
+    def test_scan_and_threshold_match_oracles_on_c5_p2(self, a, sizes):
+        # one process, no worker pool: jobs=2 is ignored and gives the serial report
         g = lexicographic_product(C5, family("path", 2))
-        a = VertexSet.full(10)
-        for k in (4, 6, 7, 8):
+        for k in sizes:
             self._check_scan(g, a, k)
         serial = qstar_threshold(g, a, jobs=1)
         assert qstar_threshold(g, a, jobs=2) == serial == lex_threshold(g, a)
-
-    def test_pool_under_spawn_matches_serial(self):
-        # the cases that once ran in spawned workers, now on the serial scan
-        g = lexicographic_product(C5, family("path", 2))
-        cases = [
-            (VertexSet.full(10), 7),  # every 7-set accesses
-            (VertexSet.from_iterable(10, range(1, 10)), 8),  # fails late in lex order
-        ]
-        for a, k in cases:
-            self._check_scan(g, a, k)
-            assert qstar_threshold(g, a, jobs=2) == lex_threshold(g, a)
 
     def test_matches_lex_oracle_on_every_small_pair(self):
         # every field of the report, for every (G, A) with n <= 5
@@ -428,7 +423,7 @@ class TestExhaustiveSearch:
         assert min(exhaustive_graph_search(2)) == 2
 
     def test_resource_cap(self, monkeypatch):
-        # refused before any array is built: at n = 12 the label array alone
+        # refused before any array is built: at n = 12 the mask array alone
         # would have 2^66 entries
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the cap was checked")
@@ -440,11 +435,6 @@ class TestExhaustiveSearch:
                 exhaustive_graph_search(n)
         with pytest.raises(ValueError, match="n must be >= 1"):
             exhaustive_graph_search(0)
-
-    def test_orbit_minima_match_every_relabelling(self):
-        # the delta-swap labelling against all n! relabellings of every mask
-        for n in range(1, 6):
-            assert access._orbit_minima(n).tolist() == brute_orbit_minima(n)
 
     def test_deterministic_order(self):
         a = exhaustive_graph_search(3)
@@ -486,33 +476,3 @@ class TestExhaustiveSearch:
         attainers = [m for m, k in enumerate(k_stars) if k == 4]
         assert len(attainers) == 360
         assert all(qstar_threshold(edge_mask_graph(6, m)).k_star == 4 for m in attainers)
-
-    def test_one_threshold_per_isomorphism_class(self, monkeypatch):
-        scanned = {n: [] for n in range(1, 7)}
-        distance = access._distance
-
-        def edge_mask(n, edges):
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            return sum(1 << pairs.index((min(u, v), max(u, v))) for u, v in edges)
-
-        def recording(adj, mask_a):
-            n = len(adj)
-            assert mask_a == (1 << n) - 1
-            scanned[n].append(edge_mask(n, Graph(n, adj).edges()))
-            return distance(adj, mask_a)
-
-        monkeypatch.setattr(access, "_distance", recording)
-        for n in range(1, 7):
-            exhaustive_graph_search(n)
-        # unlabelled graphs on n vertices, OEIS A000088
-        assert [len(scanned[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-        for masks in scanned.values():
-            assert masks == sorted(set(masks))
-        # each scanned graph is the smallest mask among its relabellings
-        for mask in scanned[5]:
-            edges = list(edge_mask_graph(5, mask).edges())
-            relabelled = [
-                edge_mask(5, [(perm[u], perm[v]) for u, v in edges])
-                for perm in itertools.permutations(range(5))
-            ]
-            assert mask == min(relabelled)

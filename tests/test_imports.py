@@ -1,7 +1,7 @@
 """Imports: every name that a module of src/graphqss or a demo imports is
 used in it; the package exports a fixed set of names; only the commands
-that build amplitudes or orbit arrays load NumPy; and no command loads
-multiprocessing.
+that build amplitudes or run the search's weight walk load NumPy; and no
+command loads multiprocessing.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
 left out of the unused-import check.

@@ -68,6 +68,23 @@ class TestSharing:
         with pytest.raises(ValueError):
             reconstruct([ClassicalShare(1, 7), ClassicalShare(1, 9)], 2)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ClassicalShare(-1, 5),
+            ClassicalShare(1, -3),
+            ClassicalShare(300, 5),
+            ClassicalShare(1, 256),
+        ],
+        ids=["index_negative", "value_negative", "index_over_255", "value_over_255"],
+    )
+    def test_out_of_range_share_refused(self, bad):
+        # refused before any GF(256) table lookup
+        valid = share(3, 2, 4, random.Random(0))[1]
+        assert valid == ClassicalShare(2, 146)
+        with pytest.raises(ValueError, match="1..255"):
+            reconstruct([valid, bad], 2)
+
     def test_parameter_validation(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
