@@ -3,8 +3,9 @@
 A coalition B is *accessing* when some D inside B has its odd neighborhood
 inside B and odd overlap with the encoding set A, and *blind* when some C in
 the complement of B reproduces A's pattern on B.  Exactly one of the two
-always holds, decided by whether the A-pattern on B lies in the row space of
-the cut matrix.  Quantum accessibility combines the verdicts of B and its
+always holds.  One span test, whether the A-pattern on B lies outside the row
+space of the cut matrix, decides every verdict, and an elimination certifies
+it with a witness.  Quantum accessibility combines the verdicts of B and its
 complement.  Every verdict is exact GF(2) arithmetic on bitmasks, and a
 threshold comes from the smallest support of a stabilizer-group coset
 element; the exhaustive search finds it for every labelled graph at once
@@ -133,28 +134,32 @@ def _q_accessing_masks(adj: tuple[int, ...], mask_a: int, mask_b: int, full: int
     )
 
 
-def _accessing_witness(g: Graph, a: VertexSet, b: VertexSet) -> Optional[VertexSet]:
-    """Verified lex-smallest D inside b with Odd(D) inside b and |D & a| odd."""
-    rows = [(a.mask, 1)] + [(g.adj[v], 0) for v in b.complement().members()]
-    _, x = gf2.reduce_rows(rows, b.mask)
-    if x is None:
-        return None
-    d = VertexSet(g.n, x)
-    if not (d.is_subset_of(b) and odd_neighborhood(g, d).is_subset_of(b) and len(d & a) % 2 == 1):
-        raise RuntimeError("accessing witness failed verification")
+def _certify_accessing(g: Graph, a: VertexSet, b: VertexSet, x: Optional[int]) -> VertexSet:
+    """x as D inside b with Odd(D) inside b and |D & a| odd; RuntimeError if not."""
+    d = VertexSet(g.n, x or 0)
+    if x is None or not ((d | odd_neighborhood(g, d)).is_subset_of(b) and len(d & a) % 2 == 1):
+        raise RuntimeError("accessing witness missing or failed verification")
     return d
 
 
-def _blind_witness(g: Graph, a: VertexSet, b: VertexSet) -> Optional[VertexSet]:
-    """Verified lex-smallest C outside b with Odd(C) & b == a & b."""
-    rows = ((g.adj[v], (a.mask >> v) & 1) for v in b.members())
-    _, y = gf2.reduce_rows(rows, b.complement().mask)
-    if y is None:
-        return None
-    c = VertexSet(g.n, y)
-    if not (c.is_subset_of(b.complement()) and (odd_neighborhood(g, c) & b) == (a & b)):
-        raise RuntimeError("blind witness failed verification")
+def _certify_blind(g: Graph, a: VertexSet, b: VertexSet, x: Optional[int]) -> VertexSet:
+    """x as C outside b with Odd(C) & b == a & b; RuntimeError if not."""
+    c = VertexSet(g.n, x or 0)
+    if x is None or not (c.is_subset_of(b.complement()) and (odd_neighborhood(g, c) & b) == (a & b)):
+        raise RuntimeError("blind witness missing or failed verification")
     return c
+
+
+def _accessing_witness(g: Graph, a: VertexSet, b: VertexSet) -> VertexSet:
+    """Lex-smallest D certifying a b that the span test found accessing."""
+    rows = [(a.mask, 1)] + [(g.adj[v], 0) for v in b.complement().members()]
+    return _certify_accessing(g, a, b, gf2.reduce_rows(rows, b.mask)[1])
+
+
+def _blind_witness(g: Graph, a: VertexSet, b: VertexSet) -> VertexSet:
+    """Lex-smallest C certifying a b that the span test found blind."""
+    rows = ((g.adj[v], (a.mask >> v) & 1) for v in b.members())
+    return _certify_blind(g, a, b, gf2.reduce_rows(rows, b.complement().mask)[1])
 
 
 # -- classification ------------------------------------------------------------
@@ -172,20 +177,16 @@ def rank_residual(g: Graph, a: VertexSet, b: VertexSet) -> int:
 def classify_c(g: Graph, a: VertexSet, b: VertexSet) -> CClassification:
     """Classify one coalition against a classical secret and certify it.
 
-    Accessing comes with D inside b (odd neighborhood inside b, odd overlap
-    with a); blind comes with C outside b whose odd neighborhood reproduces
-    a's pattern on b.  The returned witness is re-verified by direct
-    neighborhood computation; ties in the underlying solver are broken
-    lexicographically so runs are reproducible.
+    The span test decides the verdict.  Accessing is then certified by D
+    inside b (odd neighborhood inside b, odd overlap with a), blind by C
+    outside b whose odd neighborhood reproduces a's pattern on b.  The
+    witness is re-verified by direct neighborhood computation, and
+    RuntimeError reports one that is missing or fails; ties in the solver
+    are broken lexicographically so runs are reproducible.
     """
-    _check_inputs(g, a, b)
-    d = _accessing_witness(g, a, b)
-    if d is not None:
-        return CClassification(CVerdict.ACCESSING, d)
-    c = _blind_witness(g, a, b)
-    if c is None:
-        raise RuntimeError("coalition is neither accessing nor blind; adjacency corrupt?")
-    return CClassification(CVerdict.BLIND, c)
+    if rank_residual(g, a, b):
+        return CClassification(CVerdict.ACCESSING, _accessing_witness(g, a, b))
+    return CClassification(CVerdict.BLIND, _blind_witness(g, a, b))
 
 
 def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
@@ -194,48 +195,36 @@ def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     return _q_accessing_masks(g.adj, a.mask, b.mask, (1 << g.n) - 1)
 
 
-def _q_verdict(acc_b: bool, acc_bbar: bool) -> QVerdict:
+def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
+    """The span test on b and on its complement: Partial when they agree."""
+    acc_b, acc_bbar = rank_residual(g, a, b), rank_residual(g, a, b.complement())
     if acc_b == acc_bbar:
         return QVerdict.PARTIAL
     return QVerdict.Q_ACCESSING if acc_b else QVerdict.Q_BLIND
 
 
-def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
-    _check_inputs(g, a, b)
-    full = (1 << g.n) - 1
-    acc_b = _accessing(g.adj, a.mask, b.mask, full)
-    return _q_verdict(acc_b, _accessing(g.adj, a.mask, full ^ b.mask, full))
-
-
 def access_report(g: Graph, a: VertexSet, b: VertexSet) -> AccessReport:
-    """Full classification of one coalition with certifying sets; the span
-    test decides each side once, and b's verdict must match the witness."""
+    """Full classification of one coalition: the span test decides both
+    sides, and b's side is certified by its ``classify_c`` witness."""
     c = classify_c(g, a, b)
-    full = (1 << g.n) - 1
-    acc_b = _accessing(g.adj, a.mask, b.mask, full)
-    if acc_b != (c.verdict is CVerdict.ACCESSING):
-        raise RuntimeError("rank residual disagrees with witness classification")
-    q = _q_verdict(acc_b, _accessing(g.adj, a.mask, full ^ b.mask, full))
+    acc_b = c.verdict is CVerdict.ACCESSING
     pair = WitnessPair(d=c.witness) if acc_b else WitnessPair(c=c.witness)
-    return AccessReport(b, c.verdict, q, pair, int(acc_b))
+    return AccessReport(b, c.verdict, q_classify(g, a, b), pair, int(acc_b))
 
 
 def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[VertexSet, VertexSet]:
     """The pair (D, C) inside b that drives quantum reconstruction.
 
-    D has odd overlap with a and odd neighborhood inside b; C's odd
-    neighborhood matches a's pattern on the complement of b.  Raises
-    NoWitnessError unless b is quantum-accessing.
+    The span test decides; raises NoWitnessError unless b is accessing and
+    its complement blind.  D, with odd overlap with a and odd neighborhood
+    inside b, then certifies b; C, whose odd neighborhood matches a's
+    pattern on the complement of b, certifies the complement.
     """
-    _check_inputs(g, a, b)
-    d = _accessing_witness(g, a, b)
-    if d is None:
+    if not rank_residual(g, a, b):
         raise NoWitnessError("coalition cannot access a classical secret")
-    # the complement is blind exactly when it is not accessing
-    c = _blind_witness(g, a, b.complement())
-    if c is None:
+    if rank_residual(g, a, b.complement()):
         raise NoWitnessError("coalition complement is accessing; no quantum reconstruction")
-    return d, c
+    return _accessing_witness(g, a, b), _blind_witness(g, a, b.complement())
 
 
 # -- coalition scans and thresholds ---------------------------------------------
@@ -387,11 +376,10 @@ def small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
 
     if best_odd is None and best_even is None:
         raise NoWitnessError("coalition has no odd-size odd-wise and no even-wise set")
-    odd_w = best_odd.bit_count() if best_odd is not None else None
-    even_w = best_even.bit_count() if best_even is not None else None
-    if best_even is None or (best_odd is not None and odd_w <= even_w):
-        return VertexSet(g.n, best_odd), "odd-wise-odd-size"
-    return VertexSet(g.n, best_even), "even-wise"
+    # with a = V, odd-wise is accessing on b and even-wise is blind on its complement
+    if best_even is None or (best_odd is not None and best_odd.bit_count() <= best_even.bit_count()):
+        return _certify_accessing(g, VertexSet.full(g.n), b, best_odd), "odd-wise-odd-size"
+    return _certify_blind(g, VertexSet.full(g.n), b.complement(), best_even), "even-wise"
 
 
 # -- exhaustive search over labelled graphs --------------------------------------

@@ -85,9 +85,10 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", help="graph file path, or - for stdin")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", help="graph file path, or - for stdin")
     p.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
-    p.add_argument(
+    source.add_argument(
         "--family",
         choices=["cycle", "complete", "path", "random", "c5pow"],
         help="generate a named graph instead of reading one",

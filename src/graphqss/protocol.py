@@ -77,7 +77,7 @@ class Transcript:
 
 @lru_cache(maxsize=256)
 def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
-    return k >= g.n + 1 - access._distance(g.adj, a.mask)
+    return k >= access.qstar_threshold(g, a).k_star
 
 
 def _padded_register(
@@ -99,7 +99,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
 
     g, a = cfg.graph, cfg.access_set
     # the register is built first, so one over the qubit cap is refused
-    # before any coalition is scanned
+    # before the distance walk
     pair = quantum._encoded_pair(g, a)
     if not _threshold_feasible(g, a, cfg.k):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")

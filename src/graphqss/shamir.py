@@ -79,6 +79,8 @@ def share(secret: int, k: int, n: int, rng: random.Random) -> list[ClassicalShar
 
 def reconstruct(shares: Sequence[ClassicalShare], k: int) -> int:
     """Lagrange interpolation at 0 using the first k shares by index."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if len(shares) < k:
         raise InsufficientSharesError(f"got {len(shares)} shares, need {k}")
     indices = [s.index for s in shares]

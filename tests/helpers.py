@@ -3,10 +3,13 @@
 Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
-trace-norm kernel.  The exhaustive search reference scans every labelled
-graph, never relying on relabelling symmetry, the threshold reference scans
-every size's coalitions in lexicographic order, never through the code
-distance, the distance reference scores all 2^n sets D, never pruning by
+trace-norm kernel.  The one exception is the threshold reference, which
+decides each coalition with the span test ``access._q_accessing_masks``: it
+checks the code distance, not the span test, which the witness oracles
+check.  The exhaustive search reference scans every labelled graph, never
+relying on relabelling symmetry, the threshold reference scans every size's
+coalitions in lexicographic order, never through the code distance, the
+distance reference scores all 2^n sets D, never pruning by
 size, the min-k reference builds the whole counting sum, never bracketing
 it, the GF(256) reference multiplies by shift-and-add, never through log
 tables, and the graph-state reference flips one parity bit per edge, never

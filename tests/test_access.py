@@ -7,6 +7,7 @@ from graphqss import access
 from graphqss.access import (
     CVerdict,
     QVerdict,
+    WitnessPair,
     access_report,
     classify_c,
     edge_mask_graph,
@@ -113,10 +114,54 @@ class TestClassifyClassical:
             assert (verdict is CVerdict.ACCESSING) == (d is not None)
             assert rank_residual(g, a, b) == (1 if d is not None else 0)
             if verdict is CVerdict.ACCESSING:
+                assert witness.is_subset_of(b)
                 assert odd_neighborhood(g, witness).is_subset_of(b)
                 assert len(witness & a) % 2 == 1
             else:
+                assert witness.is_subset_of(b.complement())
                 assert (odd_neighborhood(g, witness) & b) == (a & b)
+            # every other verdict routine against the same oracle
+            acc_bbar = brute_accessing_witness(g, a, b.complement()) is not None
+            q = QVerdict.PARTIAL
+            if (d is not None) != acc_bbar:
+                q = QVerdict.Q_ACCESSING if d is not None else QVerdict.Q_BLIND
+            rep = access_report(g, a, b)
+            pair = WitnessPair(d=witness) if d is not None else WitnessPair(c=witness)
+            assert (rep.c_verdict, rep.q_verdict, rep.witnesses) == (verdict, q, pair)
+            assert q_classify(g, a, b) is q
+            if q is QVerdict.Q_ACCESSING:
+                d_pair, c_pair = reconstruction_witnesses(g, a, b)
+                bbar = b.complement()
+                assert d_pair == witness and c_pair.is_subset_of(b)
+                assert (odd_neighborhood(g, c_pair) & bbar) == (a & bbar)
+            else:
+                with pytest.raises(NoWitnessError):
+                    reconstruction_witnesses(g, a, b)
+
+
+class TestSpanTestDecides:
+    """The span test decides and the elimination only certifies: with the
+    span test's answer flipped, the witness routine it calls raises."""
+
+    @pytest.fixture
+    def flipped(self, monkeypatch):
+        real = access._accessing
+        monkeypatch.setattr(access, "_accessing", lambda *masks: not real(*masks))
+
+    @pytest.mark.parametrize(
+        "b,kind", [([0, 1, 2], "blind"), ([0, 1], "accessing")], ids=["accessing", "blind"]
+    )
+    def test_classify_c_and_access_report(self, flipped, b, kind):
+        for routine in (classify_c, access_report):
+            with pytest.raises(RuntimeError, match=f"^{kind} witness missing") as err:
+                routine(C5, A5, vs(5, b))
+            assert not isinstance(err.value, NoWitnessError)
+
+    def test_reconstruction_witnesses(self, flipped):
+        # {0, 1} is Q-blind, so the flipped test calls it Q-accessing
+        with pytest.raises(RuntimeError, match="^accessing witness missing") as err:
+            reconstruction_witnesses(C5, A5, vs(5, [0, 1]))
+        assert not isinstance(err.value, NoWitnessError)
 
 
 class TestQuantumVerdicts:
@@ -383,6 +428,21 @@ class TestSmallWitness:
     def test_no_witness(self):
         with pytest.raises(NoWitnessError):
             small_witness(C5, VertexSet.empty(5))
+
+    def test_corrupted_witness_raises(self, monkeypatch):
+        # {3} is outside {0, 1, 2}: as the only kernel vector it wins odd-wise
+        b = vs(5, [0, 1, 2])
+        monkeypatch.setattr(access.gf2, "null_basis", lambda pivots, mask: [1 << 3])
+        with pytest.raises(RuntimeError, match="^accessing witness missing"):
+            small_witness(C5, b)
+        # with no kernel the coset {0, 2} alone is even-wise; add 3 to it
+        real = access.gf2.reduce_rows
+        monkeypatch.setattr(access.gf2, "null_basis", lambda pivots, mask: [])
+        monkeypatch.setattr(
+            access.gf2, "reduce_rows", lambda rows, mask: (real(rows, mask)[0], 0b01101)
+        )
+        with pytest.raises(RuntimeError, match="^blind witness missing"):
+            small_witness(C5, b)
 
     def test_kernel_cap(self, monkeypatch):
         # every vertex of the empty graph is free: kernel dimension 25,

@@ -275,6 +275,16 @@ class TestInternalFailure:
         assert captured.out == ""
         assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
 
+    def test_span_test_and_witness_disagree_exits_4(self, capsys, monkeypatch):
+        # a span test with its answer flipped sends classify to the other witness
+        real = access._accessing
+        monkeypatch.setattr(access, "_accessing", lambda *masks: not real(*masks))
+        code = cli.run(["classify", "--family", "cycle", "--n", "5", "--B", "0,1,2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err == "internal error: blind witness missing or failed verification\n"
+
 
 class TestFamilyAndSimulate:
     def test_family_output(self, capsys):
@@ -435,6 +445,16 @@ class TestErrorsAndFormats:
         code = cli.run(["classify", "--graph", str(bad), "--B", "0"])
         assert code == 2
         assert "self-loop" in capsys.readouterr().err
+
+    def test_graph_and_family_exclusive(self, capsys, tmp_path):
+        # one graph source per call: neither option may silently win
+        path = tmp_path / "p3.el"
+        path.write_text("3\n0 1\n1 2\n")
+        argv = ["--json", "threshold", "--graph", str(path), "--family", "cycle", "--n", "5"]
+        assert cli.run(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --family: not allowed with argument --graph" in captured.err
 
     def test_usage_error(self, capsys):
         assert cli.run(["classify", "--B", "0,1", "--bogus"]) == 2

@@ -94,6 +94,13 @@ class TestSharing:
         with pytest.raises(ValueError):
             share(1, 1, 300, rng)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_threshold_below_one_refused(self, k):
+        # refused before any table lookup, as share refuses them
+        shares = share(3, 2, 4, random.Random(0))
+        with pytest.raises(ValueError, match="need k >= 1"):
+            reconstruct(shares, k)
+
     def test_uses_first_k_by_index(self):
         shares = share(2, 2, 5, random.Random(5))
         shuffled = [shares[4], shares[0], shares[2], shares[1]]
