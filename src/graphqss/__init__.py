@@ -1,6 +1,28 @@
 """Graph-state quantum secret sharing: access structures, thresholds,
 protocol simulation and exact counting bounds."""
 
+
+def _lazy_submodule(name: str):
+    """The submodule ``name``, registered in sys.modules (so that ``import
+    graphqss.<name>`` and anything that walks the package's modules find
+    it) but run on its first attribute access."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f".{name}", __name__)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# quantum is the only module that loads NumPy, so integer-only work never
+# runs it; its twelve re-exports resolve through __getattr__.  It is
+# registered before any submodule is imported, so that the module-level
+# `from . import quantum` in protocol and cli binds it without running it.
+quantum = _lazy_submodule("quantum")
+
 from .access import (
     AccessReport,
     CVerdict,
@@ -36,26 +58,6 @@ from .protocol import ProtocolConfig, RecoveredSecret, Transcript, deal, privacy
 from .shamir import ClassicalShare
 
 __version__ = "0.1.0"
-
-
-def _lazy_submodule(name: str):
-    """The submodule ``name``, registered in sys.modules (so that ``import
-    graphqss.<name>`` and anything that walks the package's modules find
-    it) but run on its first attribute access."""
-    import importlib.util
-    import sys
-
-    spec = importlib.util.find_spec(f".{name}", __name__)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# quantum is the only module that loads NumPy, so integer-only work never
-# runs it; its twelve re-exports resolve through __getattr__
-quantum = _lazy_submodule("quantum")
 
 _QUANTUM_NAMES = (
     "DensityMatrix",

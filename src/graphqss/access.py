@@ -263,6 +263,13 @@ def _distance(adj: tuple[int, ...], mask_a: int) -> int:
     return best
 
 
+def _k_star(g: Graph, a: VertexSet) -> int:
+    """k* = n + 1 - d (see ``qstar_threshold``), refused over ``ENUMERATION_LIMIT`` vertices."""
+    if g.n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
+    return g.n + 1 - _distance(g.adj, a.mask)
+
+
 def scan_size_k(g: Graph, a: VertexSet, k: int) -> ScanResult:
     """Check every size-k coalition for quantum accessibility.
 
@@ -308,9 +315,7 @@ def qstar_threshold(
     if a is None:
         a = VertexSet.full(g.n)
     _check_a(g, a)
-    if g.n > ENUMERATION_LIMIT:
-        raise ResourceLimitError(f"n={g.n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    k_star = g.n + 1 - _distance(g.adj, a.mask)
+    k_star = _k_star(g, a)
     fail = VertexSet.empty(g.n)  # the empty coalition is always blind
     checked = 1 + comb(g.n, k_star)
     for k in range(1, k_star):

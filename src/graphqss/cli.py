@@ -22,7 +22,7 @@ import sys
 from collections import Counter
 from typing import Optional
 
-from . import access, bounds, graphs, protocol
+from . import access, bounds, graphs, protocol, quantum
 from .errors import (
     GraphParseError,
     InsufficientSharesError,
@@ -54,10 +54,18 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
     passes that cap.  A generated graph over it is returned edgeless, after
     the builder's own argument checks: the command refuses it on its order,
     with the same message and after the same input checks as the full graph,
-    and it is never built.
+    and it is never built.  Of --n, --p and --i, an option the source does
+    not read is refused.
     """
-    if getattr(args, "family", None):
-        name = args.family
+    name = args.family
+    if not name and not args.graph:
+        raise GraphParseError("no graph given: use --graph PATH or --family NAME")
+    reads = {"c5pow": ["i"], "random": ["n", "p"]}.get(name, ["n"] if name else [])
+    unread = [f"--{opt}" for opt in ("n", "p", "i") if opt not in reads and getattr(args, opt) is not None]
+    if unread:
+        source = f"--family {name}" if name else "--graph"
+        raise GraphParseError(f"{source} does not read {', '.join(unread)}")
+    if name:
         if name == "c5pow":
             if args.i is None:
                 raise GraphParseError("--family c5pow requires --i")
@@ -71,17 +79,15 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
         if name == "c5pow":
             return graphs.c5_power(args.i)
         return graphs.family(name, args.n, p=args.p, seed=args.seed)
-    if getattr(args, "graph", None):
-        if args.graph == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(args.graph, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise GraphParseError(f"cannot read {args.graph}: {exc}") from None
-        return graphs.parse_graph(text, fmt=args.format)
-    raise GraphParseError("no graph given: use --graph PATH or --family NAME")
+    if args.graph == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.graph, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise GraphParseError(f"cannot read {args.graph}: {exc}") from None
+    return graphs.parse_graph(text, fmt=args.format)
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
@@ -233,8 +239,6 @@ def _cmd_family(args) -> tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> tuple[dict, int]:
-    from . import quantum
-
     g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, b = _sets(args, g)
     ov, dist = quantum.distinguishability(g, a, b)
@@ -259,8 +263,6 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_protocol_run(args) -> tuple[dict, int]:
-    from . import quantum
-
     g = _load_graph(args, quantum.QUBIT_LIMIT)
     a, _ = _sets(args, g)
     try:

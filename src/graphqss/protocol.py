@@ -5,7 +5,8 @@ padded pair of encoded graph states, hands qubit i to a player, and deals
 the two pad bits with a threshold-(k+c) classical scheme to all n+c players
 (the c extras hold classical shares only).  An authorized coalition extracts
 the padded qubit onto a fresh ancilla with its witness pair and undoes the
-pad with the reconstructed classical bits.
+pad with the reconstructed classical bits.  The pad, both ways, and the
+fidelity score live here; ``quantum`` only simulates states and operators.
 
 All randomness flows through one seeded generator, drawn in a fixed order
 (pad bits, then qubit holders when c > 0, then share coefficients), so a
@@ -18,14 +19,11 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
-from . import access, shamir
+from . import access, quantum, shamir
 from .errors import InsufficientSharesError, LocalityError
 from .graphs import Graph, VertexSet, odd_neighborhood
-
-if TYPE_CHECKING:
-    from .quantum import StateVector
 
 FIDELITY_ATOL = 1e-9
 
@@ -69,7 +67,7 @@ class Transcript:
     config: ProtocolConfig
     secret: tuple[complex, complex]
     pad: tuple[int, int]
-    register: StateVector
+    register: quantum.StateVector
     qubit_holders: tuple[int, ...]  # qubit i is held by player qubit_holders[i]
     shares: list[shamir.ClassicalShare]
     log: list[str] = field(default_factory=list)
@@ -77,15 +75,14 @@ class Transcript:
 
 @lru_cache(maxsize=256)
 def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
-    return k >= access.qstar_threshold(g, a).k_star
+    return k >= access._k_star(g, a)
 
 
 def _padded_register(
-    pair: tuple[StateVector, StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
-) -> StateVector:
-    """The embedded secret after the pad: X swaps the encodings, Z signs beta."""
-    from . import quantum
-
+    pair: tuple[quantum.StateVector, quantum.StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
+) -> quantum.StateVector:
+    """The embedded secret after the pad: Z signs beta, then X swaps the
+    encodings.  ``reconstruct`` undoes both on the ancilla, in reverse."""
     beta = beta * (-1.0 if b_z else 1.0)
     return quantum._superpose(pair, beta, alpha) if b_x else quantum._superpose(pair, alpha, beta)
 
@@ -95,8 +92,6 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     alpha, beta = secret
     if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= FIDELITY_ATOL:  # NaN fails too
         raise ValueError("secret amplitudes are not normalized")
-    from . import quantum
-
     g, a = cfg.graph, cfg.access_set
     # the register is built first, so one over the qubit cap is refused
     # before the distance walk
@@ -139,8 +134,6 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
         if outside:
             raise LocalityError(f"step {step} would act on qubits {outside} outside the coalition")
 
-    from . import quantum
-
     t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
     base = quantum.graph_state(g).amplitudes
     state = quantum._isometry_UD(t.register, g, d, base)
@@ -150,7 +143,14 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
 
     selected = [t.shares[p] for p in players]
     b_x, b_z = shamir.unpack_pad(shamir.reconstruct(selected, need))
-    amp0, amp1, fidelity = quantum._ancilla_readout(state, base, t.secret, (b_x, b_z))
+    amp0, amp1 = quantum._ancilla_readout(state, base)
+    # undo _padded_register's pad: swap back, then unsign beta
+    if b_x:
+        amp0, amp1 = amp1, amp0
+    if b_z:
+        amp1 = -amp1
+    alpha, beta = t.secret
+    fidelity = float(abs(alpha.conjugate() * amp0 + beta.conjugate() * amp1) ** 2)
     t.log.append(f"step c: pad bits ({b_x}, {b_z}) from {need} shares")
     t.log.append(f"ancilla at player {players[0]}: fidelity={fidelity:.12f}")
     return RecoveredSecret(amp0, amp1, fidelity)
@@ -171,8 +171,6 @@ def privacy_probe(
     lies inside a maximal one, and trace distance cannot grow under the
     partial trace that takes the larger view to the smaller.
     """
-    from . import quantum
-
     g, a = cfg.graph, cfg.access_set
     pair = quantum._encoded_pair(g, a)
     views = [

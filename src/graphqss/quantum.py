@@ -1,5 +1,8 @@
 """Dense statevector simulation of graph states and their coalition states.
 
+States and operators only: the protocol's one-time pad, both ways, and the
+fidelity against the dealt secret are ``protocol``'s.
+
 Conventions used throughout (and by everything downstream):
 
 * qubit i is bit i of the basis index, qubit 0 least significant;
@@ -275,15 +278,9 @@ def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> St
     return StateVector(g.n + 1, np.concatenate([plus, minus]))
 
 
-def _ancilla_readout(
-    s: StateVector, base: np.ndarray, secret: tuple[complex, complex], pad: tuple[int, int]
-) -> tuple[complex, complex, float]:
-    """The secret read off the ancilla of a corrected register, and its fidelity.
-
-    The register must be base (g's graph state) times the ancilla's
-    amp0|0> + amp1|1>.  The pad is then undone on the ancilla: X swaps the
-    amplitudes and Z signs amp1.  Returns (amp0, amp1, |<secret|amps>|^2).
-    """
+def _ancilla_readout(s: StateVector, base: np.ndarray) -> tuple[complex, complex]:
+    """The ancilla amplitudes (amp0, amp1) of a corrected register, which
+    must be base (g's graph state) times amp0|0> + amp1|1> on the ancilla."""
     half = len(base)
     amp0 = complex(np.vdot(base, s.amplitudes[:half]))
     amp1 = complex(np.vdot(base, s.amplitudes[half:]))
@@ -292,14 +289,7 @@ def _ancilla_readout(
     )
     if not residual <= ATOL_ZERO_TEST:
         raise ProtocolStateError("ancilla failed to disentangle from the graph register")
-    b_x, b_z = pad
-    if b_x:
-        amp0, amp1 = amp1, amp0
-    if b_z:
-        amp1 = -amp1
-    alpha, beta = secret
-    fidelity = abs(np.conj(alpha) * amp0 + np.conj(beta) * amp1) ** 2
-    return amp0, amp1, float(fidelity)
+    return amp0, amp1
 
 
 def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:

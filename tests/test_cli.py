@@ -456,6 +456,28 @@ class TestErrorsAndFormats:
         assert captured.out == ""
         assert "argument --family: not allowed with argument --graph" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["family", "--family", "path", "--n", "3", "--p", "2"], "--family path does not read --p"),
+            (["threshold", "--graph", "P3", "--n", "9"], "--graph does not read --n"),
+            (["family", "--family", "c5pow", "--i", "1", "--n", "9"], "--family c5pow does not read --n"),
+            (["family", "--family", "cycle", "--n", "5", "--i", "3"], "--family cycle does not read --i"),
+            (
+                ["family", "--family", "random", "--n", "5", "--p", "0.5", "--i", "1"],
+                "--family random does not read --i",
+            ),
+            (["simulate", "--graph", "P3", "--p", "0.5", "--i", "2", "--B", "0"], "--graph does not read --p, --i"),
+        ],
+    )
+    def test_unread_graph_option_refused(self, capsys, tmp_path, argv, err):
+        # an option the graph source would ignore is a usage error, not a silent no-op
+        path = tmp_path / "p3.el"
+        path.write_text("3\n0 1\n1 2\n")
+        argv = ["--json", *(str(path) if tok == "P3" else tok for tok in argv)]
+        assert cli.run(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
     def test_usage_error(self, capsys):
         assert cli.run(["classify", "--B", "0,1", "--bogus"]) == 2
 

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from graphqss import access, quantum
+from graphqss import access, protocol, quantum
 from graphqss.errors import InsufficientSharesError, LocalityError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.protocol import (
@@ -112,6 +112,19 @@ class TestDeal:
         with pytest.raises(ResourceLimitError, match="13 qubits exceeds limit 12"):
             deal(ProtocolConfig(g, VertexSet.full(13), 3), (0.6, 0.8))
 
+    def test_feasibility_scans_no_coalition(self, monkeypatch):
+        # a deal on an uncached graph decides k >= k* from the distance walk
+        # alone; the lexicographic scans only certify qstar_threshold's report
+        def no_scan(*args):
+            raise AssertionError("deal scanned coalitions")
+
+        monkeypatch.setattr(access, "scan_size_k", no_scan)
+        protocol._threshold_feasible.cache_clear()
+        deal(ProtocolConfig(C5, A5, 3), (0.6, 0.8))
+        with pytest.raises(ValueError, match="some size-2 coalition cannot reconstruct"):
+            deal(ProtocolConfig(C5, A5, 2), (0.6, 0.8))
+        assert protocol._threshold_feasible.cache_info().misses == 2
+
 
 class TestReconstruct:
     def test_c5_all_minimal_coalitions(self):
@@ -123,11 +136,16 @@ class TestReconstruct:
                 assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_complex_secret(self):
+        # the amplitudes come back under every pad, not just the fidelity:
+        # signing before swapping would return -(alpha, beta) for pad (1, 1)
         alpha = 0.6 * cmath.exp(0.3j)
         beta = 0.8 * cmath.exp(-1.1j)
-        t = deal(ProtocolConfig(C5, A5, 3, seed=5), (alpha, beta))
-        rec = reconstruct(t, [1, 3, 4])
-        assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
+        pads = seeds_for_all_pads(lambda s: ProtocolConfig(C5, A5, 3, seed=s))
+        for pad, seed in pads.items():
+            t = deal(ProtocolConfig(C5, A5, 3, seed=seed), (alpha, beta))
+            rec = reconstruct(t, [1, 3, 4])
+            assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
+            assert abs(rec.alpha - alpha) < 1e-9 and abs(rec.beta - beta) < 1e-9, pad
 
     def test_small_coalition_rejected(self):
         t = deal(ProtocolConfig(C5, A5, 3, seed=1), (1, 0))
