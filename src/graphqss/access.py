@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
@@ -26,8 +26,8 @@ from .graphs import Graph, VertexSet, bits, odd_neighborhood
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
-# n = 7 sweeps in under a second, but it has 125,670 labelled attainers to
-# print; checked before the 2^(n(n-1)/2)-entry neighbour arrays are built
+# n = 7 sweeps in about a second, but has 125,670 labelled attainers to build
+# and print; checked before the 2^(n(n-1)/2)-entry neighbour arrays are built
 SEARCH_N_LIMIT = 6
 
 
@@ -76,6 +76,18 @@ class ThresholdReport:
     k_star: int
     certificate_fail: Optional[VertexSet]
     sets_checked: int
+
+
+@dataclass(frozen=True)
+class SearchReport:
+    """``exhaustive_graph_search``'s result: ``k_stars[mask]`` is the k* of
+    ``edge_mask_graph(n, mask)`` (a uint8 NumPy array), ``histogram`` maps
+    each k* to its count in ascending k, and ``attainers`` are the graphs of
+    the smallest k* in ascending mask order."""
+
+    k_stars: Any
+    histogram: dict[int, int]
+    attainers: tuple[Graph, ...]
 
 
 # -- helpers -------------------------------------------------------------------
@@ -410,7 +422,7 @@ def edge_mask_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def exhaustive_graph_search(n: int) -> list[int]:
+def exhaustive_graph_search(n: int) -> SearchReport:
     """Threshold k* (with A = V) of every labelled graph on n vertices.
 
     Entry ``mask`` belongs to ``edge_mask_graph(n, mask)``, whose edge bit
@@ -422,6 +434,11 @@ def exhaustive_graph_search(n: int) -> list[int]:
     every graph; d starts at n (Z_V itself, D empty), and a Gray-code walk
     over the nonempty sets D carries Odd(D) by one XOR per step and lowers d
     to the support D | (Odd(D) ^ V), and to D | Odd(D) when |D| is odd.
+
+    The report is read off the same arrays: ``k_stars`` is n + 1 - d as
+    uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
+    each attainer's adjacency rows are the neighbour arrays at a mask of the
+    smallest k*, taken in ascending mask order.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
     array is built.
@@ -453,4 +470,8 @@ def exhaustive_graph_search(n: int) -> list[int]:
         if d.bit_count() % 2:
             w = np.minimum(w, np.bitwise_count(odd | d))
         np.minimum(best, w, out=best)
-    return (n + 1 - best).tolist()
+    k_stars = (n + 1 - best).astype(np.uint8, copy=False)
+    histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
+    at = np.flatnonzero(k_stars == min(histogram))
+    attainers = tuple(Graph(n, row) for row in zip(*(a[at].tolist() for a in adj)))
+    return SearchReport(k_stars, histogram, attainers)

@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from collections import Counter
 from typing import Optional
 
 from . import access, bounds, graphs, protocol, quantum
@@ -55,13 +54,15 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
     the builder's own argument checks: the command refuses it on its order,
     with the same message and after the same input checks as the full graph,
     and it is never built.  Of --n, --p and --i, an option the source does
-    not read is refused.
+    not read is refused, and so is --format with --family.
     """
     name = args.family
     if not name and not args.graph:
         raise GraphParseError("no graph given: use --graph PATH or --family NAME")
-    reads = {"c5pow": ["i"], "random": ["n", "p"]}.get(name, ["n"] if name else [])
-    unread = [f"--{opt}" for opt in ("n", "p", "i") if opt not in reads and getattr(args, opt) is not None]
+    reads = {"c5pow": ["i"], "random": ["n", "p"]}.get(name, ["n"] if name else ["format"])
+    unread = [
+        f"--{opt}" for opt in ("n", "p", "i", "format") if opt not in reads and getattr(args, opt) is not None
+    ]
     if unread:
         source = f"--family {name}" if name else "--graph"
         raise GraphParseError(f"{source} does not read {', '.join(unread)}")
@@ -87,13 +88,13 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
                 text = fh.read()
         except OSError as exc:
             raise GraphParseError(f"cannot read {args.graph}: {exc}") from None
-    return graphs.parse_graph(text, fmt=args.format)
+    return graphs.parse_graph(text, fmt=args.format or "edgelist")
 
 
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--graph", help="graph file path, or - for stdin")
-    p.add_argument("--format", choices=["edgelist", "graph6"], default="edgelist")
+    p.add_argument("--format", choices=["edgelist", "graph6"])
     source.add_argument(
         "--family",
         choices=["cycle", "complete", "path", "random", "c5pow"],
@@ -314,21 +315,14 @@ def _check_printable(**values: int) -> None:
 
 
 def _cmd_search(args) -> tuple[dict, int]:
-    k_stars = access.exhaustive_graph_search(args.n)
-    histogram = Counter(k_stars)
-    min_k = min(histogram)
-    attainers = [
-        graphs.serialize_graph(access.edge_mask_graph(args.n, mask), "graph6")
-        for mask, k in enumerate(k_stars)
-        if k == min_k
-    ]
+    report = access.exhaustive_graph_search(args.n)
     return {
         "n": args.n,
-        "graphs": len(k_stars),
-        "min_k_star": min_k,
-        "k_star_histogram": {str(k): v for k, v in sorted(histogram.items())},
-        "attainer_count": len(attainers),
-        "attainers_graph6": attainers,
+        "graphs": len(report.k_stars),
+        "min_k_star": min(report.histogram),
+        "k_star_histogram": {str(k): count for k, count in report.histogram.items()},
+        "attainer_count": len(report.attainers),
+        "attainers_graph6": [graphs.serialize_graph(g, "graph6") for g in report.attainers],
     }, EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """The CLI golden corpus: float-free calls whose exact output is pinned.
 
 ``calls()`` lists about 300 argument vectors over ``classify``, ``witness``,
-``threshold``, ``family``, ``product``, ``bound`` and ``search --n <= 5``,
+``threshold``, ``family``, ``product``, ``bound`` and ``search --n <= 6``,
 in both output styles, including refused inputs.  ``tests/cli_golden.json``
 holds each call's exit code, stdout and stderr; ``test_golden.py`` replays
 them.  Rewrite the file only when an output is meant to change:
@@ -89,7 +89,9 @@ def calls() -> list[list[str]]:
         ["bogus"],
     ]
     # every third call in compact style, the rest indented
-    return [["--json", *argv] if i % 3 == 0 else argv for i, argv in enumerate(out)]
+    styled = [["--json", *argv] if i % 3 == 0 else argv for i, argv in enumerate(out)]
+    # all 360 attainers of n = 6 in both styles, after the others so that none moves
+    return styled + [["--json", "search", "--n", "6"], ["search", "--n", "6"]]
 
 
 def record(argv: list[str]) -> dict:

@@ -300,13 +300,15 @@ def test_criterion_09_bounds_module():
 
 def test_criterion_10_exhaustive_five_vertex_search():
     t0 = time.perf_counter()
-    k_stars = exhaustive_graph_search(5)
+    search = exhaustive_graph_search(5)
     elapsed = time.perf_counter() - t0
+    k_stars = search.k_stars.tolist()
     assert len(k_stars) == 1024
     best = min(k_stars)
-    assert best == 3
+    assert best == 3 == min(search.histogram)
     attainers = [edge_mask_graph(5, m) for m, k in enumerate(k_stars) if k == best]
     assert len(attainers) == 12
+    assert search.attainers == tuple(attainers)
     assert all(is_isomorphic(g, C5) for g in attainers)
     assert elapsed < 10.0
     report(

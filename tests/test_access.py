@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -479,8 +480,8 @@ class TestSmallWitness:
 
 class TestExhaustiveSearch:
     def test_tiny(self):
-        assert exhaustive_graph_search(1) == [1]
-        assert min(exhaustive_graph_search(2)) == 2
+        assert exhaustive_graph_search(1).k_stars.tolist() == [1]
+        assert exhaustive_graph_search(2).k_stars.min() == 2
 
     def test_resource_cap(self, monkeypatch):
         # refused before any array is built: at n = 12 the mask array alone
@@ -499,7 +500,8 @@ class TestExhaustiveSearch:
     def test_deterministic_order(self):
         a = exhaustive_graph_search(3)
         b = exhaustive_graph_search(3)
-        assert a == b
+        assert a.k_stars.tolist() == b.k_stars.tolist()
+        assert (a.histogram, a.attainers) == (b.histogram, b.attainers)
         # bit i of the mask is the i-th pair of (0,1), (0,2), (1,2)
         assert [list(edge_mask_graph(3, 1 << i).edges()) for i in range(3)] == [
             [(0, 1)],
@@ -526,13 +528,24 @@ class TestExhaustiveSearch:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_labelled_reference(self, n):
-        assert exhaustive_graph_search(n) == labelled_graph_search(n)
+        # the whole report against the lex oracle, one k* per edge mask:
+        # histogram by Counter, attainers by edge_mask_graph
+        report = exhaustive_graph_search(n)
+        expected = labelled_graph_search(n)
+        assert report.k_stars.dtype == "uint8"
+        assert report.k_stars.tolist() == expected
+        assert list(report.histogram.items()) == sorted(Counter(expected).items())
+        assert sum(report.histogram.values()) == 1 << (n * (n - 1) // 2)
+        best = min(expected)
+        assert report.attainers == tuple(edge_mask_graph(n, m) for m, k in enumerate(expected) if k == best)
+        assert all(type(row) is int for g in report.attainers for row in g.adj)
 
     def test_n6_histogram_and_attainers(self):
-        k_stars = exhaustive_graph_search(6)
+        report = exhaustive_graph_search(6)
+        k_stars = report.k_stars.tolist()
         assert len(k_stars) == 1 << 15
         histogram = {k: k_stars.count(k) for k in set(k_stars)}
-        assert histogram == {4: 360, 5: 21770, 6: 10638}
+        assert histogram == report.histogram == {4: 360, 5: 21770, 6: 10638}
         attainers = [m for m, k in enumerate(k_stars) if k == 4]
-        assert len(attainers) == 360
+        assert len(attainers) == len(report.attainers) == 360
         assert all(qstar_threshold(edge_mask_graph(6, m)).k_star == 4 for m in attainers)

@@ -468,6 +468,15 @@ class TestErrorsAndFormats:
                 "--family random does not read --i",
             ),
             (["simulate", "--graph", "P3", "--p", "0.5", "--i", "2", "--B", "0"], "--graph does not read --p, --i"),
+            (["family", "--family", "cycle", "--n", "3", "--format", "graph6"], "--family cycle does not read --format"),
+            (
+                ["classify", "--family", "c5pow", "--i", "1", "--format", "edgelist", "--B", "0"],
+                "--family c5pow does not read --format",
+            ),
+            (
+                ["family", "--family", "random", "--n", "5", "--p", "0.5", "--i", "1", "--format", "graph6"],
+                "--family random does not read --i, --format",
+            ),
         ],
     )
     def test_unread_graph_option_refused(self, capsys, tmp_path, argv, err):
