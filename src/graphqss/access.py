@@ -22,12 +22,12 @@ from typing import Any, NamedTuple, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
-from .graphs import Graph, VertexSet, bits, odd_neighborhood
+from .graphs import Graph, VertexSet, _graph6_many, bits, odd_neighborhood
 
 ENUMERATION_LIMIT = 26
 KERNEL_DIM_LIMIT = 24
-# n = 7 sweeps in about a second, but has 125,670 labelled attainers to build
-# and print; checked before the 2^(n(n-1)/2)-entry neighbour arrays are built
+# n = 7 sweeps in under half a second, but has 125,670 labelled attainers to list;
+# checked before the 2^(n(n-1)/2)-entry neighbour arrays are built
 SEARCH_N_LIMIT = 6
 
 
@@ -82,12 +82,12 @@ class ThresholdReport:
 class SearchReport:
     """``exhaustive_graph_search``'s result: ``k_stars[mask]`` is the k* of
     ``edge_mask_graph(n, mask)`` (a uint8 NumPy array), ``histogram`` maps
-    each k* to its count in ascending k, and ``attainers`` are the graphs of
-    the smallest k* in ascending mask order."""
+    each k* to its count in ascending k, and ``attainers_graph6`` are the
+    graph6 strings of the graphs of the smallest k* in ascending mask order."""
 
     k_stars: Any
     histogram: dict[int, int]
-    attainers: tuple[Graph, ...]
+    attainers_graph6: tuple[str, ...]
 
 
 # -- helpers -------------------------------------------------------------------
@@ -432,13 +432,15 @@ def exhaustive_graph_search(n: int) -> SearchReport:
     by whole-array NumPy work in the narrowest unsigned type that holds a
     vertex set.  One array per vertex holds that vertex's neighbour mask in
     every graph; d starts at n (Z_V itself, D empty), and a Gray-code walk
-    over the nonempty sets D carries Odd(D) by one XOR per step and lowers d
-    to the support D | (Odd(D) ^ V), and to D | Odd(D) when |D| is odd.
+    over the nonempty sets D carries Odd(D) by one XOR per step.  With A = V
+    the support D | (Odd(D) ^ V) has n + |D| - |D | Odd(D)| vertices, so one
+    popcount of D | Odd(D) per step scores both candidates: d falls to that
+    count when |D| is odd, and to n + |D| minus it always.
 
     The report is read off the same arrays: ``k_stars`` is n + 1 - d as
     uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
-    each attainer's adjacency rows are the neighbour arrays at a mask of the
-    smallest k*, taken in ascending mask order.
+    ``attainers_graph6`` is written by ``graphs._graph6_many`` from the
+    neighbour arrays at the masks of the smallest k*, in ascending mask order.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
     array is built.
@@ -451,27 +453,30 @@ def exhaustive_graph_search(n: int) -> SearchReport:
 
     size = 1 << (n * (n - 1) // 2)
     masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    full = (1 << n) - 1
-    vertex_set = np.min_scalar_type(full)
+    vertex_set = np.min_scalar_type((1 << n) - 1)
     adj = [np.zeros(size, dtype=vertex_set) for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             edge = ((masks >> _edge_bit(n, i, j)) & 1).astype(vertex_set)
             adj[i] |= edge << j
             adj[j] |= edge << i
-    best = np.full(size, n, dtype=vertex_set)
+    best = np.full(size, n, dtype=np.uint8)
     odd = np.zeros(size, dtype=vertex_set)
+    union = np.empty(size, dtype=vertex_set)
+    weight = np.empty(size, dtype=np.uint8)
     d = 0
     for step in range(1, 1 << n):
         v = (step & -step).bit_length() - 1
         d ^= 1 << v
         odd ^= adj[v]
-        w = np.bitwise_count(odd ^ full | d)
-        if d.bit_count() % 2:
-            w = np.minimum(w, np.bitwise_count(odd | d))
-        np.minimum(best, w, out=best)
-    k_stars = (n + 1 - best).astype(np.uint8, copy=False)
+        np.bitwise_or(odd, d, out=union)
+        np.bitwise_count(union, out=weight)
+        size_d = d.bit_count()
+        if size_d % 2:
+            np.minimum(best, weight, out=best)
+        np.subtract(n + size_d, weight, out=weight)
+        np.minimum(best, weight, out=best)
+    k_stars = np.subtract(n + 1, best, out=best)
     histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
     at = np.flatnonzero(k_stars == min(histogram))
-    attainers = tuple(Graph(n, row) for row in zip(*(a[at].tolist() for a in adj)))
-    return SearchReport(k_stars, histogram, attainers)
+    return SearchReport(k_stars, histogram, _graph6_many(n, [a[at] for a in adj]))

@@ -321,8 +321,8 @@ def _cmd_search(args) -> tuple[dict, int]:
         "graphs": len(report.k_stars),
         "min_k_star": min(report.histogram),
         "k_star_histogram": {str(k): count for k, count in report.histogram.items()},
-        "attainer_count": len(report.attainers),
-        "attainers_graph6": [graphs.serialize_graph(g, "graph6") for g in report.attainers],
+        "attainer_count": len(report.attainers_graph6),
+        "attainers_graph6": list(report.attainers_graph6),
     }, EXIT_OK
 
 

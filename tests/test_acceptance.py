@@ -31,6 +31,8 @@ from graphqss.graphs import (
     delta_complement,
     family,
     odd_neighborhood,
+    parse_graph,
+    serialize_graph,
 )
 from graphqss.protocol import ProtocolConfig, deal, privacy_probe, reconstruct
 from graphqss.quantum import encode_classical, reduced_density
@@ -308,8 +310,8 @@ def test_criterion_10_exhaustive_five_vertex_search():
     assert best == 3 == min(search.histogram)
     attainers = [edge_mask_graph(5, m) for m, k in enumerate(k_stars) if k == best]
     assert len(attainers) == 12
-    assert search.attainers == tuple(attainers)
-    assert all(is_isomorphic(g, C5) for g in attainers)
+    assert search.attainers_graph6 == tuple(serialize_graph(g, "graph6") for g in attainers)
+    assert all(is_isomorphic(parse_graph(text, "graph6"), C5) for text in search.attainers_graph6)
     assert elapsed < 10.0
     report(
         10,

@@ -31,6 +31,7 @@ from graphqss.graphs import (
     family,
     lexicographic_product,
     odd_neighborhood,
+    serialize_graph,
 )
 from helpers import (
     all_graphs,
@@ -501,7 +502,7 @@ class TestExhaustiveSearch:
         a = exhaustive_graph_search(3)
         b = exhaustive_graph_search(3)
         assert a.k_stars.tolist() == b.k_stars.tolist()
-        assert (a.histogram, a.attainers) == (b.histogram, b.attainers)
+        assert (a.histogram, a.attainers_graph6) == (b.histogram, b.attainers_graph6)
         # bit i of the mask is the i-th pair of (0,1), (0,2), (1,2)
         assert [list(edge_mask_graph(3, 1 << i).edges()) for i in range(3)] == [
             [(0, 1)],
@@ -529,7 +530,8 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_labelled_reference(self, n):
         # the whole report against the lex oracle, one k* per edge mask:
-        # histogram by Counter, attainers by edge_mask_graph
+        # histogram by Counter, attainers by the single-graph graph6 writer on
+        # edge_mask_graph, which is injective for a fixed n
         report = exhaustive_graph_search(n)
         expected = labelled_graph_search(n)
         assert report.k_stars.dtype == "uint8"
@@ -537,8 +539,9 @@ class TestExhaustiveSearch:
         assert list(report.histogram.items()) == sorted(Counter(expected).items())
         assert sum(report.histogram.values()) == 1 << (n * (n - 1) // 2)
         best = min(expected)
-        assert report.attainers == tuple(edge_mask_graph(n, m) for m, k in enumerate(expected) if k == best)
-        assert all(type(row) is int for g in report.attainers for row in g.adj)
+        assert report.attainers_graph6 == tuple(
+            serialize_graph(edge_mask_graph(n, m), "graph6") for m, k in enumerate(expected) if k == best
+        )
 
     def test_n6_histogram_and_attainers(self):
         report = exhaustive_graph_search(6)
@@ -547,5 +550,5 @@ class TestExhaustiveSearch:
         histogram = {k: k_stars.count(k) for k in set(k_stars)}
         assert histogram == report.histogram == {4: 360, 5: 21770, 6: 10638}
         attainers = [m for m, k in enumerate(k_stars) if k == 4]
-        assert len(attainers) == len(report.attainers) == 360
+        assert len(attainers) == len(report.attainers_graph6) == 360
         assert all(qstar_threshold(edge_mask_graph(6, m)).k_star == 4 for m in attainers)

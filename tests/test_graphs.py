@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphqss import graphs
+from graphqss.access import edge_mask_graph
 from graphqss.errors import GraphParseError, ResourceLimitError
 from graphqss.graphs import (
     _MAX_GRAPH6_N,
@@ -261,6 +262,32 @@ class TestGraph6Format:
             back = nx.from_graph6_bytes(theirs.encode())
             assert parse_graph(theirs, "graph6") == Graph.from_edges(n, back.edges())
             assert back.number_of_nodes() == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_many_matches_single_writer_on_every_labelled_graph(self, n):
+        # n = 1 is the header alone; the rows are neighbour arrays in edge-mask order
+        np = pytest.importorskip("numpy")
+        gs = [edge_mask_graph(n, m) for m in range(1 << (n * (n - 1) // 2))]
+        rows = [np.array([g.adj[v] for g in gs], dtype=np.uint8) for v in range(n)]
+        ours = graphs._graph6_many(n, rows)
+        assert ours == tuple(serialize_graph(g, "graph6") for g in gs)
+        assert n > 1 or ours == ("@",)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_many_matches_networkx(self, n):
+        # bodies of 4..11 characters, each with a partial last character
+        np = pytest.importorskip("numpy")
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        gs = [family("random", n, p=rng.random(), seed=rng.randrange(1 << 30)) for _ in range(50)]
+        rows = [np.array([g.adj[v] for g in gs], dtype=np.uint16) for v in range(n)]
+        theirs = []
+        for g in gs:
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(g.edges())
+            theirs.append(nx.to_graph6_bytes(nxg, header=False).strip().decode())
+        assert graphs._graph6_many(n, rows) == tuple(theirs)
 
     def test_multibyte_vertex_count(self):
         g = family("cycle", 125)
