@@ -264,7 +264,7 @@ def _cmd_simulate(args) -> tuple[dict, int]:
 
 
 def _cmd_protocol_run(args) -> tuple[dict, int]:
-    g = _load_graph(args, quantum.QUBIT_LIMIT)
+    g = _load_graph(args, access.ENUMERATION_LIMIT)
     a, _ = _sets(args, g)
     try:
         sa, sb = (float(tok) for tok in args.secret.split(","))

@@ -168,6 +168,14 @@ def odd_neighborhood(g: Graph, d: VertexSet) -> VertexSet:
     return VertexSet(g.n, acc)
 
 
+def edge_parity(g: Graph, mask: int) -> int:
+    """Parity of the edges inside mask: the sign bit of K_mask, and of |G> at basis string mask."""
+    total = 0
+    for v in bits(mask):
+        total += (g.adj[v] & mask).bit_count()
+    return (total // 2) & 1
+
+
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, tuple((row ^ full) & ~(1 << i) for i, row in enumerate(g.adj)))

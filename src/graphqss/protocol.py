@@ -6,7 +6,10 @@ the two pad bits with a threshold-(k+c) classical scheme to all n+c players
 (the c extras hold classical shares only).  An authorized coalition extracts
 the padded qubit onto a fresh ancilla with its witness pair and undoes the
 pad with the reconstructed classical bits.  The pad, both ways, and the
-fidelity score live here; ``quantum`` only simulates states and operators.
+fidelity score live here.  After the embedding every step is a Pauli
+operator, so ``deal`` keeps the register as its coefficients on |G> and
+Z_A|G>, and ``reconstruct`` is exact bitmask algebra with no statevector and
+no tolerance; only ``privacy_probe`` runs the dense simulator ``quantum``.
 
 All randomness flows through one seeded generator, drawn in a fixed order
 (pad bits, then qubit holders when c > 0, then share coefficients), so a
@@ -22,8 +25,8 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from . import access, quantum, shamir
-from .errors import InsufficientSharesError, LocalityError
-from .graphs import Graph, VertexSet, odd_neighborhood
+from .errors import InsufficientSharesError, LocalityError, ProtocolStateError
+from .graphs import Graph, VertexSet, edge_parity, odd_neighborhood
 
 FIDELITY_ATOL = 1e-9
 
@@ -67,7 +70,7 @@ class Transcript:
     config: ProtocolConfig
     secret: tuple[complex, complex]
     pad: tuple[int, int]
-    register: quantum.StateVector
+    register: tuple[complex, complex]  # (c0, c1): c0|G> + c1 Z_A|G>
     qubit_holders: tuple[int, ...]  # qubit i is held by player qubit_holders[i]
     shares: list[shamir.ClassicalShare]
     log: list[str] = field(default_factory=list)
@@ -78,13 +81,12 @@ def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
     return k >= access._k_star(g, a)
 
 
-def _padded_register(
-    pair: tuple[quantum.StateVector, quantum.StateVector], alpha: complex, beta: complex, b_x: int, b_z: int
-) -> quantum.StateVector:
-    """The embedded secret after the pad: Z signs beta, then X swaps the
-    encodings.  ``reconstruct`` undoes both on the ancilla, in reverse."""
-    beta = beta * (-1.0 if b_z else 1.0)
-    return quantum._superpose(pair, beta, alpha) if b_x else quantum._superpose(pair, alpha, beta)
+def _pad(alpha: complex, beta: complex, b_x: int, b_z: int) -> tuple[complex, complex]:
+    """(c0, c1) on |G> and Z_A|G> after the pad: Z signs beta, then X swaps
+    the encodings.  ``reconstruct`` undoes both on the ancilla, in reverse."""
+    if b_z:
+        beta = -beta
+    return (beta, alpha) if b_x else (alpha, beta)
 
 
 def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
@@ -93,27 +95,30 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= FIDELITY_ATOL:  # NaN fails too
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
-    # the register is built first, so one over the qubit cap is refused
-    # before the distance walk
-    pair = quantum._encoded_pair(g, a)
+    # the distance walk refuses graphs over access.ENUMERATION_LIMIT vertices
     if not _threshold_feasible(g, a, cfg.k):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
     rng = random.Random(cfg.seed)
-    b_x = rng.randrange(2)
-    b_z = rng.randrange(2)
+    b_x, b_z = rng.randrange(2), rng.randrange(2)
     if cfg.c > 0:
         holders = tuple(sorted(rng.sample(range(cfg.players), g.n)))
     else:
         holders = tuple(range(g.n))
-    register = _padded_register(pair, alpha, beta, b_x, b_z)
     shares = shamir.share(shamir.pack_pad(b_x, b_z), cfg.k + cfg.c, cfg.players, rng)
-    t = Transcript(cfg, (alpha, beta), (b_x, b_z), register, holders, shares)
+    t = Transcript(cfg, (alpha, beta), (b_x, b_z), _pad(alpha, beta, b_x, b_z), holders, shares)
     t.log.append(f"deal: n={g.n} players={cfg.players} k={cfg.k} c={cfg.c}")
     return t
 
 
+def _check_on_graph_state(g: Graph, branches: list[tuple[complex, int, int, int]], failure: str) -> None:
+    """X^x Z^z|G> is K_x|G> = |G> up to sign when z = Odd(x), and orthogonal to |G> otherwise."""
+    if any(z != odd_neighborhood(g, VertexSet(g.n, x)).mask for _, x, z, _ in branches):
+        raise ProtocolStateError(failure)
+
+
 def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
-    """Run the three reconstruction steps for a coalition of player ids."""
+    """Run the three reconstruction steps for a coalition of player ids, on
+    branches (coef, x, z, ancilla): coef X^x Z^z|G>, with the ancilla in |ancilla>."""
     cfg = t.config
     g, a = cfg.graph, cfg.access_set
     players = sorted(set(coalition))
@@ -127,26 +132,37 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
     b = VertexSet.from_iterable(g.n, (q for q in range(g.n) if t.qubit_holders[q] in holder_set))
     d, c_wit = access.reconstruction_witnesses(g, a, b)
     # both steps act on the coalition's qubits only: D u Odd(D), then C u (Odd(C) xor A)
-    extraction = d | odd_neighborhood(g, d)
-    correction = c_wit | (odd_neighborhood(g, c_wit) ^ a)
-    for step, support in (("a (extraction)", extraction), ("b (correction)", correction)):
+    odd_d, w = odd_neighborhood(g, d), odd_neighborhood(g, c_wit) ^ a
+    for step, support in (("a (extraction)", d | odd_d), ("b (correction)", c_wit | w)):
         outside = list((support - b).members())
         if outside:
             raise LocalityError(f"step {step} would act on qubits {outside} outside the coalition")
 
     t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
-    base = quantum.graph_state(g).amplitudes
-    state = quantum._isometry_UD(t.register, g, d, base)
+    # U_D puts X^x Z^z|G> on ancilla 1 when X^x Z^z anticommutes with K_D = X^D Z^Odd(D)
+    c0, c1 = t.register
+    branches = [
+        (coef, x, z, ((x & odd_d.mask).bit_count() + (z & d.mask).bit_count()) & 1)
+        for coef, x, z in ((c0, 0, 0), (c1, 0, a.mask))
+    ]
+    on_ancilla_0 = [br for br in branches if not br[3]]
+    _check_on_graph_state(g, on_ancilla_0, "register is not a superposition of encoded graph states")
 
     t.log.append(f"step b: correct with C={list(c_wit.members())}")
-    state = quantum.apply_controlled_VC(state, g, a, c_wit)
+    # V_C = (-1)^e(C) X^C Z^w on ancilla 1; moving Z^w past X^x signs by (-1)^|w & x|
+    flip = edge_parity(g, c_wit.mask)
+    for i, (coef, x, z, anc) in enumerate(branches):
+        if anc:
+            sign = (flip + (w.mask & x).bit_count()) & 1
+            branches[i] = (-coef if sign else coef, x ^ c_wit.mask, z ^ w.mask, 1)
+    _check_on_graph_state(g, branches, "ancilla failed to disentangle from the graph register")
 
-    selected = [t.shares[p] for p in players]
-    b_x, b_z = shamir.unpack_pad(shamir.reconstruct(selected, need))
-    amp0, amp1 = quantum._ancilla_readout(state, base)
-    # undo _padded_register's pad: swap back, then unsign beta
-    if b_x:
-        amp0, amp1 = amp1, amp0
+    b_x, b_z = shamir.unpack_pad(shamir.reconstruct([t.shares[p] for p in players], need))
+    amps = [0, 0]  # <G|X^x Z^Odd(x)|G> = (-1)^e(x), the sign of K_x
+    for coef, x, _, anc in branches:
+        amps[anc] += -coef if edge_parity(g, x) else coef
+    # undo _pad: swap back, then unsign beta
+    amp0, amp1 = amps[::-1] if b_x else amps
     if b_z:
         amp1 = -amp1
     alpha, beta = t.secret
@@ -174,7 +190,7 @@ def privacy_probe(
     g, a = cfg.graph, cfg.access_set
     pair = quantum._encoded_pair(g, a)
     views = [
-        (sign / 4.0, _padded_register(pair, alpha, beta, b_x, b_z))
+        (sign / 4.0, quantum._superpose(pair, *_pad(alpha, beta, b_x, b_z)))
         for sign, (alpha, beta) in zip((1.0, -1.0), secrets)
         for b_x in (0, 1)
         for b_z in (0, 1)
@@ -201,11 +217,9 @@ def serialize_transcript(t: Transcript, recovered: Optional[RecoveredSecret] = N
         "log": list(t.log),
     }
     if recovered is not None:
+        # adding 0.0 prints a zero part as 0.0, never as -0.0
         doc["recovered"] = [
-            recovered.alpha.real,
-            recovered.alpha.imag,
-            recovered.beta.real,
-            recovered.beta.imag,
+            part + 0.0 for amp in (recovered.alpha, recovered.beta) for part in (amp.real, amp.imag)
         ]
         doc["fidelity"] = recovered.fidelity
     return doc

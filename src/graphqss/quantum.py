@@ -1,7 +1,9 @@
 """Dense statevector simulation of graph states and their coalition states.
 
 States and operators only: the protocol's one-time pad, both ways, and the
-fidelity against the dealt secret are ``protocol``'s.
+fidelity against the dealt secret are ``protocol``'s.  Of ``protocol`` only
+``privacy_probe`` comes here; the isometry and correction below are the
+tests' dense oracle for ``reconstruct``, which runs by Pauli algebra.
 
 Conventions used throughout (and by everything downstream):
 
@@ -15,7 +17,8 @@ package runs it on first use, so integer-only work never loads NumPy.
 
 Tolerances: 1e-12 for algebraic identities (norms, fixpoints), 1e-10 for
 derived zero tests (overlap, trace distance, purity).  Registers are capped
-at ``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated.
+at ``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated: this
+caps ``simulate`` and ``privacy_probe``, not ``protocol-run``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ProtocolStateError, ResourceLimitError
-from .graphs import Graph, VertexSet, bits, odd_neighborhood
+from .graphs import Graph, VertexSet, edge_parity, odd_neighborhood
 
 ATOL_ALGEBRA = 1e-12
 ATOL_ZERO_TEST = 1e-10
@@ -93,13 +96,6 @@ class PauliOp:
             raise ValueError("supports over different universes")
 
 
-def _induced_edge_parity(g: Graph, d: VertexSet) -> int:
-    total = 0
-    for v in bits(d.mask):
-        total += (g.adj[v] & d.mask).bit_count()
-    return (total // 2) & 1
-
-
 def stabilizer_for(g: Graph, d: VertexSet) -> PauliOp:
     """Product of the vertex stabilizers over d: signed X on d, Z on Odd(d).
 
@@ -107,9 +103,7 @@ def stabilizer_for(g: Graph, d: VertexSet) -> PauliOp:
     the sign is the parity of edges in the induced subgraph (which is also
     the graph-state sign at basis string d).
     """
-    odd = odd_neighborhood(g, d)
-    sign = -1 if _induced_edge_parity(g, d) else 1
-    return PauliOp(d, odd, sign)
+    return PauliOp(d, odd_neighborhood(g, d), -1 if edge_parity(g, d.mask) else 1)
 
 
 def graph_state(g: Graph) -> StateVector:
@@ -263,33 +257,14 @@ def apply_isometry_UD(s: StateVector, g: Graph, d: VertexSet) -> StateVector:
     """
     if s.n_qubits != g.n:
         raise ValueError("state size does not match graph order")
-    return _isometry_UD(s, g, d, graph_state(g).amplitudes)
-
-
-def _isometry_UD(s: StateVector, g: Graph, d: VertexSet, base: np.ndarray) -> StateVector:
-    """``apply_isometry_UD`` against the caller's amplitudes of g's graph state."""
-    op = stabilizer_for(g, d)
-    flipped = apply_pauli(s, op)
+    base = graph_state(g).amplitudes
+    flipped = apply_pauli(s, stabilizer_for(g, d))
     plus = (s.amplitudes + flipped.amplitudes) / 2.0
     minus = (s.amplitudes - flipped.amplitudes) / 2.0
     residual = plus - (base.conj() @ plus) * base
     if not np.linalg.norm(residual) <= ATOL_ZERO_TEST:
         raise ProtocolStateError("register is not a superposition of encoded graph states")
     return StateVector(g.n + 1, np.concatenate([plus, minus]))
-
-
-def _ancilla_readout(s: StateVector, base: np.ndarray) -> tuple[complex, complex]:
-    """The ancilla amplitudes (amp0, amp1) of a corrected register, which
-    must be base (g's graph state) times amp0|0> + amp1|1> on the ancilla."""
-    half = len(base)
-    amp0 = complex(np.vdot(base, s.amplitudes[:half]))
-    amp1 = complex(np.vdot(base, s.amplitudes[half:]))
-    residual = np.linalg.norm(s.amplitudes[:half] - amp0 * base) + np.linalg.norm(
-        s.amplitudes[half:] - amp1 * base
-    )
-    if not residual <= ATOL_ZERO_TEST:
-        raise ProtocolStateError("ancilla failed to disentangle from the graph register")
-    return amp0, amp1
 
 
 def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:

@@ -1,8 +1,10 @@
-"""The CLI golden corpus: float-free calls whose exact output is pinned.
+"""The CLI golden corpus: calls whose exact output is pinned.
 
 ``calls()`` lists about 300 argument vectors over ``classify``, ``witness``,
-``threshold``, ``family``, ``product``, ``bound`` and ``search --n <= 6``,
-in both output styles, including refused inputs.  ``tests/cli_golden.json``
+``threshold``, ``family``, ``product``, ``bound``, ``search --n <= 6`` and
+``protocol-run``, in both output styles, including refused inputs.  The only
+floats are ``protocol-run``'s, and those are exact: it reconstructs by Pauli
+algebra, so it prints the dealt amplitudes and fidelity 1.0.  ``tests/cli_golden.json``
 holds each call's exit code, stdout and stderr; ``test_golden.py`` replays
 them.  Rewrite the file only when an output is meant to change:
 
@@ -91,7 +93,16 @@ def calls() -> list[list[str]]:
     # every third call in compact style, the rest indented
     styled = [["--json", *argv] if i % 3 == 0 else argv for i, argv in enumerate(out)]
     # all 360 attainers of n = 6 in both styles, after the others so that none moves
-    return styled + [["--json", "search", "--n", "6"], ["search", "--n", "6"]]
+    styled += [["--json", "search", "--n", "6"], ["search", "--n", "6"]]
+    # protocol runs, appended last for the same reason: C5 under the pads
+    # (1,1), (0,0), (0,1) and (1,0), with two classical-only players, and the
+    # 13-cycle, past the 12 qubits a dense register allowed
+    c5 = ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3"]
+    runs = [[*c5, "--coalition", "0,1,2", "--secret", "-0.6,0.8", "--seed", str(s)] for s in (0, 1, 4, 7)]
+    runs.append([*c5, "--c", "2", "--coalition", "0,2,3,5,6", "--seed", "12"])
+    team = ",".join(map(str, range(11)))
+    runs.append(["protocol-run", "--family", "cycle", "--n", "13", "--k", "11", "--coalition", team])
+    return styled + [["--json", *argv] if i % 2 == 0 else argv for i, argv in enumerate(runs)]
 
 
 def record(argv: list[str]) -> dict:

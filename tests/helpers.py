@@ -12,8 +12,9 @@ coalitions in lexicographic order, never through the code distance, the
 distance reference scores all 2^n sets D, never pruning by
 size, the min-k reference builds the whole counting sum, never bracketing
 it, the GF(256) reference multiplies by shift-and-add, never through log
-tables, and the graph-state reference flips one parity bit per edge, never
-doubling over vertices.
+tables, the graph-state reference flips one parity bit per edge, never
+doubling over vertices, and the protocol reference reconstructs on 2^(n+1)
+dense amplitudes, never by Pauli algebra on the branches.
 """
 
 from __future__ import annotations
@@ -25,9 +26,21 @@ from typing import Optional
 
 import numpy as np
 
-from graphqss.access import ThresholdReport, _q_accessing_masks
+from graphqss import shamir
+from graphqss.access import ThresholdReport, _q_accessing_masks, reconstruction_witnesses
+from graphqss.errors import ProtocolStateError
 from graphqss.graphs import Graph, VertexSet, odd_neighborhood
-from graphqss.quantum import DensityMatrix
+from graphqss.protocol import RecoveredSecret, Transcript
+from graphqss.quantum import (
+    ATOL_ZERO_TEST,
+    DensityMatrix,
+    PauliOp,
+    StateVector,
+    apply_controlled_VC,
+    apply_isometry_UD,
+    apply_pauli,
+    graph_state,
+)
 
 
 def submasks(mask: int):
@@ -142,6 +155,53 @@ def edge_parity_amplitudes(g: Graph) -> np.ndarray:
         parity ^= (idx >> np.uint64(i)) & (idx >> np.uint64(j)) & np.uint64(1)
     amps = (1.0 - 2.0 * parity.astype(np.float64)) / math.sqrt(1 << n)
     return amps.astype(np.complex128)
+
+
+def ancilla_readout(s: StateVector, base: np.ndarray) -> tuple[complex, complex]:
+    """The ancilla amplitudes (amp0, amp1) of a corrected register, which
+    must be base (g's graph state) times amp0|0> + amp1|1> on the ancilla."""
+    half = len(base)
+    amp0 = complex(np.vdot(base, s.amplitudes[:half]))
+    amp1 = complex(np.vdot(base, s.amplitudes[half:]))
+    residual = np.linalg.norm(s.amplitudes[:half] - amp0 * base) + np.linalg.norm(
+        s.amplitudes[half:] - amp1 * base
+    )
+    if not residual <= ATOL_ZERO_TEST:
+        raise ProtocolStateError("ancilla failed to disentangle from the graph register")
+    return amp0, amp1
+
+
+def dense_reconstruct(t: Transcript, coalition) -> tuple[RecoveredSecret, list[str]]:
+    """``protocol.reconstruct`` for an authorized coalition on the dense
+    register c0|G> + c1 Z_A|G>: the isometry U_D and the correction V_C on
+    2^(n+1) amplitudes, then the readout with its residual check.  Returns
+    the recovered secret and the four log lines of the steps."""
+    cfg = t.config
+    g, a = cfg.graph, cfg.access_set
+    players = sorted(set(coalition))
+    need = cfg.k + cfg.c
+    b = VertexSet.from_iterable(g.n, (q for q in range(g.n) if t.qubit_holders[q] in players))
+    d, c = reconstruction_witnesses(g, a, b)
+    g0 = graph_state(g)
+    g1 = apply_pauli(g0, PauliOp(VertexSet.empty(g.n), a))
+    c0, c1 = t.register
+    state = StateVector(g.n, c0 * g0.amplitudes + c1 * g1.amplitudes)
+    state = apply_controlled_VC(apply_isometry_UD(state, g, d), g, a, c)
+    amp0, amp1 = ancilla_readout(state, g0.amplitudes)
+    b_x, b_z = shamir.unpack_pad(shamir.reconstruct([t.shares[p] for p in players], need))
+    if b_x:
+        amp0, amp1 = amp1, amp0
+    if b_z:
+        amp1 = -amp1
+    alpha, beta = t.secret
+    fidelity = float(abs(np.conj(alpha) * amp0 + np.conj(beta) * amp1) ** 2)
+    log = [
+        f"step a: extract with D={list(d.members())} on qubits {list(b.members())}",
+        f"step b: correct with C={list(c.members())}",
+        f"step c: pad bits ({b_x}, {b_z}) from {need} shares",
+        f"ancilla at player {players[0]}: fidelity={fidelity:.12f}",
+    ]
+    return RecoveredSecret(amp0, amp1, fidelity), log
 
 
 def overlap(rho0: DensityMatrix, rho1: DensityMatrix) -> float:

@@ -229,7 +229,7 @@ class TestCapBeforeBuild:
             (["simulate", "--family", "c5pow", "--i", "2", "--B", "0"], "25 qubits exceeds limit 12"),
             (
                 ["protocol-run", "--family", "random", "--n", "250", "--p", "0.5", "--k", "3", "--coalition", "0"],
-                "250 qubits exceeds limit 12",
+                "n=250 exceeds enumeration limit 26",
             ),
         ],
     )
@@ -285,6 +285,15 @@ class TestInternalFailure:
         assert captured.out == ""
         assert captured.err == "internal error: blind witness missing or failed verification\n"
 
+    def test_protocol_state_check_exits_4(self, capsys, monkeypatch):
+        # a witness D with even overlap with A leaves Z_A|G> on ancilla 0
+        d, c = graphs.VertexSet.empty(5), graphs.VertexSet.from_iterable(5, [0, 2])
+        monkeypatch.setattr(access, "reconstruction_witnesses", lambda g, a, b: (d, c))
+        code = cli.run(["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL and captured.out == ""
+        assert captured.err == "internal error: register is not a superposition of encoded graph states\n"
+
 
 class TestFamilyAndSimulate:
     def test_family_output(self, capsys):
@@ -317,14 +326,42 @@ class TestFamilyAndSimulate:
 
 
 class TestProtocolRun:
-    def test_qubit_cap_before_threshold_check(self, capsys):
-        # k = 3 is infeasible on a 13-cycle, but the register is refused first
-        code = cli.run(
-            ["protocol-run", "--family", "cycle", "--n", "13", "--k", "3", "--coalition", "0,1,2"]
-        )
-        captured = capsys.readouterr()
-        assert code == 3 and captured.out == ""
-        assert captured.err == "resource limit: 13 qubits exceeds limit 12\n"
+    @pytest.mark.parametrize(
+        "n, code, err",
+        [
+            # no qubit cap: k = 3 is refused on a 13-cycle because k* = 11
+            (13, cli.EXIT_USAGE, "error: some size-3 coalition cannot reconstruct on this graph\n"),
+            (27, cli.EXIT_RESOURCE, "resource limit: n=27 exceeds enumeration limit 26\n"),
+        ],
+        ids=["cycle13", "cycle27"],
+    )
+    def test_threshold_cap_not_qubit_cap(self, capsys, n, code, err):
+        argv = ["protocol-run", "--family", "cycle", "--n", str(n), "--k", "3", "--coalition", "0,1,2"]
+        assert cli.run(argv) == code
+        assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "cycle", "--n", "13", "--k", "11", "--coalition", ",".join(map(str, range(11)))],
+            ["--family", "c5pow", "--i", "2", "--k", "17", "--coalition", ",".join(map(str, range(17)))],
+        ],
+        ids=["cycle13", "c5pow2"],
+    )
+    def test_past_the_qubit_cap_recovers_exactly(self, capsys, argv):
+        code, doc = run_json(capsys, ["protocol-run", *argv, "--secret", "-0.6,0.8"])
+        assert code == cli.EXIT_OK
+        assert doc["recovered"] == [-0.6, 0.0, 0.8, 0.0] and doc["fidelity"] == 1.0
+
+    @pytest.mark.parametrize("seed", [0, 4])  # pads (1, 1) and (0, 1)
+    def test_no_negative_zero(self, capsys, seed):
+        # the pad signs beta = 0 to -0.0, and undoing it gives -0.0 back
+        argv = ["--json", "protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"]
+        assert cli.run(argv + ["--seed", str(seed), "--secret", "1,0"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["pad"][1] == 1 and doc["recovered"] == [1.0, 0.0, 0.0, 0.0]
+        assert "-0.0" not in out
 
     def test_happy_path(self, capsys, c5_file):
         code, doc = run_json(

@@ -15,13 +15,14 @@ from graphqss.graphs import (
     c5_power,
     complement,
     delta_complement,
+    edge_parity,
     family,
     lexicographic_product,
     odd_neighborhood,
     parse_graph,
     serialize_graph,
 )
-from helpers import is_isomorphic
+from helpers import induced_edge_count, is_isomorphic
 
 
 @st.composite
@@ -102,6 +103,14 @@ class TestOddNeighborhood:
         full = (1 << g.n) - 1
         x, y = VertexSet(g.n, xm & full), VertexSet(g.n, ym & full)
         assert odd_neighborhood(g, x ^ y) == odd_neighborhood(g, x) ^ odd_neighborhood(g, y)
+
+
+class TestEdgeParity:
+    @given(small_graphs(), st.integers(0, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_induced_edge_count(self, g, mask):
+        mask &= (1 << g.n) - 1
+        assert edge_parity(g, mask) == induced_edge_count(g, mask) % 2
 
 
 class TestComplement:

@@ -1,6 +1,7 @@
 """Imports: every name that a module of src/graphqss or a demo imports is
 used in it; the package exports a fixed set of names; only the commands
-that build amplitudes or run the search's weight walk load NumPy; and no
+that build amplitudes or run the search's weight walk load NumPy (and
+``protocol-run``, which reconstructs by Pauli algebra, does not); and no
 command loads multiprocessing.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
@@ -95,10 +96,11 @@ INTEGER_COMMANDS = [
     ["threshold", "--family", "c5pow", "--i", "2"],
     ["product", "--n1", "5", "--k1", "3", "--n2", "5", "--k2", "3"],
     ["family", "--family", "random", "--n", "6", "--p", "0.5", "--seed", "2"],
+    ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"],
+    ["protocol-run", "--family", "cycle", "--n", "13", "--k", "11", "--coalition", "0,1,2,3,4,5,6,7,8,9,10"],
 ]
 NUMPY_COMMANDS = [
     ["simulate", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
-    ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"],
     ["search", "--n", "4"],
 ]
 

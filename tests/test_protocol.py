@@ -1,12 +1,14 @@
 import cmath
 import itertools
+import math
+import random
 import time
 
 import numpy as np
 import pytest
 
 from graphqss import access, protocol, quantum
-from graphqss.errors import InsufficientSharesError, LocalityError, ResourceLimitError
+from graphqss.errors import InsufficientSharesError, LocalityError, ProtocolStateError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.protocol import (
     ProtocolConfig,
@@ -22,10 +24,17 @@ from graphqss.quantum import (
     reduced_density,
     trace_norm,
 )
-from helpers import trace_distance
+from helpers import dense_reconstruct, trace_distance
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
+
+
+def dense_register(t):
+    """The dealt register c0|G> + c1 Z_A|G> as 2^n amplitudes."""
+    g, a = t.config.graph, t.config.access_set
+    c0, c1 = t.register
+    return c0 * encode_classical(g, a, 0).amplitudes + c1 * encode_classical(g, a, 1).amplitudes
 
 
 def seeds_for_all_pads(cfg_maker, want=4):
@@ -69,16 +78,14 @@ class TestDeal:
     def test_identity_pad_matches_embedding(self):
         pads = seeds_for_all_pads(lambda s: ProtocolConfig(C5, A5, 3, seed=s))
         t = deal(ProtocolConfig(C5, A5, 3, seed=pads[(0, 0)]), (0.6, 0.8))
-        assert np.allclose(
-            t.register.amplitudes, embed_secret(C5, A5, 0.6, 0.8).amplitudes, atol=1e-12
-        )
+        assert np.allclose(dense_register(t), embed_secret(C5, A5, 0.6, 0.8).amplitudes, atol=1e-12)
 
     def test_x_pad_swaps_encodings(self):
         pads = seeds_for_all_pads(lambda s: ProtocolConfig(C5, A5, 3, seed=s))
         t = deal(ProtocolConfig(C5, A5, 3, seed=pads[(1, 0)]), (0.6, 0.8))
         g0 = encode_classical(C5, A5, 0).amplitudes
         g1 = encode_classical(C5, A5, 1).amplitudes
-        assert np.allclose(t.register.amplitudes, 0.6 * g1 + 0.8 * g0, atol=1e-12)
+        assert np.allclose(dense_register(t), 0.6 * g1 + 0.8 * g0, atol=1e-12)
 
     def test_pad_average_hides_secret(self):
         # averaged over the four pads the register is (P_G0 + P_G1)/2
@@ -90,7 +97,8 @@ class TestDeal:
             acc = np.zeros((32, 32), dtype=complex)
             for seed in pads.values():
                 t = deal(ProtocolConfig(C5, A5, 3, seed=seed), secret)
-                acc += np.outer(t.register.amplitudes, t.register.amplitudes.conj())
+                register = dense_register(t)
+                acc += np.outer(register, register.conj())
             assert np.abs(acc / 4 - expected).max() < 1e-10
 
     def test_transcript_is_reproducible(self):
@@ -99,18 +107,22 @@ class TestDeal:
         assert t1.pad == t2.pad
         assert t1.qubit_holders == t2.qubit_holders
         assert t1.shares == t2.shares
-        assert np.array_equal(t1.register.amplitudes, t2.register.amplitudes)
+        assert t1.register == t2.register
 
     def test_identity_assignment_without_extension(self):
         t = deal(ProtocolConfig(C5, A5, 3, seed=0), (1, 0))
         assert t.qubit_holders == (0, 1, 2, 3, 4)
 
-    def test_qubit_cap_refused_before_scanning(self, monkeypatch):
-        # k = 3 is infeasible on a 13-cycle; the register cap decides first
-        monkeypatch.setattr(access, "_distance", None)
+    def test_enumeration_cap_replaces_qubit_cap(self, monkeypatch):
+        # no register is built, so the 13-cycle is decided by its threshold
+        # (k* = 11), and only the distance walk's cap refuses a graph
         g = family("cycle", 13)
-        with pytest.raises(ResourceLimitError, match="13 qubits exceeds limit 12"):
+        with pytest.raises(ValueError, match="some size-3 coalition cannot reconstruct"):
             deal(ProtocolConfig(g, VertexSet.full(13), 3), (0.6, 0.8))
+        monkeypatch.setattr(access, "_distance", None)
+        g = family("cycle", 27)
+        with pytest.raises(ResourceLimitError, match="n=27 exceeds enumeration limit 26"):
+            deal(ProtocolConfig(g, VertexSet.full(27), 3), (0.6, 0.8))
 
     def test_feasibility_scans_no_coalition(self, monkeypatch):
         # a deal on an uncached graph decides k >= k* from the distance walk
@@ -171,8 +183,7 @@ class TestReconstruct:
         with pytest.raises(InsufficientSharesError):
             reconstruct(t, [0, 1, 2, 3])
 
-    def test_graph_state_built_once(self, monkeypatch):
-        t = deal(ProtocolConfig(C5, A5, 3, seed=2), (0.6, 0.8))
+    def test_no_graph_state_built(self, monkeypatch):
         built = []
         build = quantum.graph_state
 
@@ -181,9 +192,13 @@ class TestReconstruct:
             return build(g)
 
         monkeypatch.setattr(quantum, "graph_state", counting)
+        t = deal(ProtocolConfig(C5, A5, 3, seed=2), (0.6, 0.8))
         rec = reconstruct(t, [0, 2, 4])
-        assert built == [C5]
-        assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert built == []
+        # nor do the deal and the steps touch the simulator at all
+        monkeypatch.setattr(protocol, "quantum", None)
+        rec = reconstruct(deal(ProtocolConfig(C5, A5, 3, seed=2), (0.6, 0.8)), [0, 2, 4])
+        assert (rec.alpha, rec.beta, rec.fidelity) == (0.6, 0.8, 1.0)
 
     @pytest.mark.parametrize(
         "d, c, message",
@@ -196,14 +211,23 @@ class TestReconstruct:
         ids=["step_a", "step_b"],
     )
     def test_locality_checked_before_amplitude_work(self, monkeypatch, d, c, message):
+        # the branch checks never run: the locality check refuses first
         t = deal(ProtocolConfig(C5, A5, 3, seed=1), (0.6, 0.8))
         monkeypatch.setattr(
             access,
             "reconstruction_witnesses",
             lambda g, a, b: (VertexSet.from_iterable(5, d), VertexSet.from_iterable(5, c)),
         )
-        monkeypatch.setattr(quantum, "graph_state", None)
+        monkeypatch.setattr(protocol, "_check_on_graph_state", None)
         with pytest.raises(LocalityError, match=message):
+            reconstruct(t, [0, 1, 2])
+
+    def test_even_overlap_witness_fails_isometry_check(self, monkeypatch):
+        # K_D for D = {} commutes with Z_A, so U_D leaves Z_A|G> on ancilla 0
+        t = deal(ProtocolConfig(C5, A5, 3, seed=1), (0.6, 0.8))
+        d, c = VertexSet.empty(5), VertexSet.from_iterable(5, [0, 2])
+        monkeypatch.setattr(access, "reconstruction_witnesses", lambda g, a, b: (d, c))
+        with pytest.raises(ProtocolStateError, match="not a superposition of encoded graph states"):
             reconstruct(t, [0, 1, 2])
 
     def test_log_records_steps(self):
@@ -234,6 +258,32 @@ class TestReconstruct:
                 rec = reconstruct(t, b.members())
                 assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
             done += 1
+
+
+    def test_matches_dense_oracle(self):
+        # seeded runs on G(n, 1/2) with n <= 11, a random A, a random complex
+        # secret and c in {0, 1, 2}, each under every pad: the Pauli branches
+        # give the dense reconstruction's log and amplitudes, and give back
+        # exactly the dealt secret
+        rng = random.Random(22)
+        runs = 0
+        for n, c, _ in itertools.product(range(3, 12), (0, 1, 2), range(2)):
+            g = family("random", n, p=0.5, seed=rng.randrange(10**6))
+            a = VertexSet(n, rng.randrange(1, 1 << n))
+            k = access.qstar_threshold(g, a).k_star
+            theta, phi = rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)
+            secret = (math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))
+            pads = seeds_for_all_pads(lambda s: ProtocolConfig(g, a, k, c=c, seed=s))
+            for seed in pads.values():
+                t = deal(ProtocolConfig(g, a, k, c=c, seed=seed), secret)
+                team = rng.sample(range(n + c), rng.randint(k + c, n + c))
+                rec = reconstruct(t, team)
+                oracle, log = dense_reconstruct(t, team)
+                assert t.log[1:] == log
+                assert abs(rec.alpha - oracle.alpha) <= 1e-12 and abs(rec.beta - oracle.beta) <= 1e-12
+                assert (rec.alpha, rec.beta) == secret
+                runs += 1
+        assert runs == 9 * 3 * 2 * 4
 
 
 class TestPrivacyProbe:
