@@ -38,7 +38,6 @@ from .access import (
     q_classify,
     qstar_threshold,
     reconstruction_witnesses,
-    scan_size_k,
     small_witness,
 )
 from .bounds import BoundReport, counting_inequality, min_feasible_k, pure_qss_feasibility

@@ -46,6 +46,15 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise GraphParseError(f"{what}: expected comma-separated integers") from None
 
 
+def _refuse_unread(args: argparse.Namespace, source: str, options: tuple[str, ...], reads: list[str]) -> None:
+    """Refuse each of ``options`` given on the command line that ``source`` does not read."""
+    unread = [
+        f"--{opt.replace('_', '-')}" for opt in options if opt not in reads and getattr(args, opt) is not None
+    ]
+    if unread:
+        raise GraphParseError(f"{source} does not read {', '.join(unread)}")
+
+
 def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> graphs.Graph:
     """The graph named by --graph or --family.
 
@@ -60,12 +69,7 @@ def _load_graph(args: argparse.Namespace, vertex_cap: Optional[int] = None) -> g
     if not name and not args.graph:
         raise GraphParseError("no graph given: use --graph PATH or --family NAME")
     reads = {"c5pow": ["i"], "random": ["n", "p"]}.get(name, ["n"] if name else ["format"])
-    unread = [
-        f"--{opt}" for opt in ("n", "p", "i", "format") if opt not in reads and getattr(args, opt) is not None
-    ]
-    if unread:
-        source = f"--family {name}" if name else "--graph"
-        raise GraphParseError(f"{source} does not read {', '.join(unread)}")
+    _refuse_unread(args, f"--family {name}" if name else "--graph", ("n", "p", "i", "format"), reads)
     if name:
         if name == "c5pow":
             if args.i is None:
@@ -167,9 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="counting lower-bound arithmetic")
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--min-k", action="store_true", help="smallest feasible k for --n")
+    # None when absent, as --max-k is, so the unread-option check sees it only when passed
+    p.add_argument("--min-k", action="store_true", default=None, help="smallest feasible k for --n")
     p.add_argument("--pure-qss", action="store_true", help="scan the n = 2k-1 regime")
-    p.add_argument("--max-k", type=int, default=100)
+    p.add_argument("--max-k", type=int)
 
     p = sub.add_parser("search", help="thresholds of every labelled graph on n vertices")
     p.add_argument("--n", type=int, required=True)
@@ -287,8 +292,11 @@ def _cmd_protocol_run(args) -> tuple[dict, int]:
 
 
 def _cmd_bound(args) -> tuple[dict, int]:
+    mode = "--pure-qss" if args.pure_qss else "--min-k" if args.min_k else "bound --n --k"
+    reads = {"--pure-qss": ["max_k"], "--min-k": ["min_k", "n"]}.get(mode, ["n", "k"])
+    _refuse_unread(args, mode, ("n", "k", "min_k", "max_k"), reads)
     if args.pure_qss:
-        return dict(vars(bounds.pure_qss_feasibility(args.max_k))), EXIT_OK
+        return dict(vars(bounds.pure_qss_feasibility(100 if args.max_k is None else args.max_k))), EXIT_OK
     if args.min_k:
         if args.n is None:
             raise GraphParseError("--min-k requires --n")

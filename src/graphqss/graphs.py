@@ -158,14 +158,20 @@ class Graph:
         return VertexSet.full(self.n)
 
 
+def odd_mask(g: Graph, mask: int) -> int:
+    """Odd(mask): the vertices with an odd number of neighbors in mask, as a
+    bitmask; one XOR of adjacency rows per member, GF(2)-linear in mask."""
+    acc = 0
+    for v in bits(mask):
+        acc ^= g.adj[v]
+    return acc
+
+
 def odd_neighborhood(g: Graph, d: VertexSet) -> VertexSet:
-    """Vertices with an odd number of neighbors in d; GF(2)-linear in d."""
+    """``odd_mask`` on a vertex set of g."""
     if d.universe != g.n:
         raise ValueError("vertex set universe != graph order")
-    acc = 0
-    for v in bits(d.mask):
-        acc ^= g.adj[v]
-    return VertexSet(g.n, acc)
+    return VertexSet(g.n, odd_mask(g, d.mask))
 
 
 def edge_parity(g: Graph, mask: int) -> int:

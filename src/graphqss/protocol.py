@@ -9,7 +9,9 @@ pad with the reconstructed classical bits.  The pad, both ways, and the
 fidelity score live here.  After the embedding every step is a Pauli
 operator, so ``deal`` keeps the register as its coefficients on |G> and
 Z_A|G>, and ``reconstruct`` is exact bitmask algebra with no statevector and
-no tolerance; only ``privacy_probe`` runs the dense simulator ``quantum``.
+no tolerance: witnesses, supports and Pauli branches stay ints, and its only
+vertex sets are the coalition and its two witnesses.  Only ``privacy_probe``
+runs the dense simulator ``quantum``.
 
 All randomness flows through one seeded generator, drawn in a fixed order
 (pad bits, then qubit holders when c > 0, then share coefficients), so a
@@ -26,7 +28,7 @@ from typing import Iterable, Optional
 
 from . import access, quantum, shamir
 from .errors import InsufficientSharesError, LocalityError, ProtocolStateError
-from .graphs import Graph, VertexSet, edge_parity, odd_neighborhood
+from .graphs import Graph, VertexSet, bits, edge_parity, odd_mask
 
 FIDELITY_ATOL = 1e-9
 
@@ -92,7 +94,8 @@ def _pad(alpha: complex, beta: complex, b_x: int, b_z: int) -> tuple[complex, co
 def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     """Encrypt, embed and distribute one secret qubit."""
     alpha, beta = secret
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= FIDELITY_ATOL:  # NaN fails too
+    # NaN fails too; a product past the float range is inf and fails, where abs or ** 2 would raise
+    if not abs(sum(x.real * x.real + x.imag * x.imag for x in (alpha, beta)) - 1.0) <= FIDELITY_ATOL:
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
     # the distance walk refuses graphs over access.ENUMERATION_LIMIT vertices
@@ -112,7 +115,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
 
 def _check_on_graph_state(g: Graph, branches: list[tuple[complex, int, int, int]], failure: str) -> None:
     """X^x Z^z|G> is K_x|G> = |G> up to sign when z = Odd(x), and orthogonal to |G> otherwise."""
-    if any(z != odd_neighborhood(g, VertexSet(g.n, x)).mask for _, x, z, _ in branches):
+    if any(z != odd_mask(g, x) for _, x, z, _ in branches):
         raise ProtocolStateError(failure)
 
 
@@ -130,31 +133,31 @@ def reconstruct(t: Transcript, coalition: Iterable[int]) -> RecoveredSecret:
 
     holder_set = set(players)
     b = VertexSet.from_iterable(g.n, (q for q in range(g.n) if t.qubit_holders[q] in holder_set))
-    d, c_wit = access.reconstruction_witnesses(g, a, b)
+    d, c_wit = (s.mask for s in access.reconstruction_witnesses(g, a, b))
     # both steps act on the coalition's qubits only: D u Odd(D), then C u (Odd(C) xor A)
-    odd_d, w = odd_neighborhood(g, d), odd_neighborhood(g, c_wit) ^ a
+    odd_d, w = odd_mask(g, d), odd_mask(g, c_wit) ^ a.mask
     for step, support in (("a (extraction)", d | odd_d), ("b (correction)", c_wit | w)):
-        outside = list((support - b).members())
+        outside = list(bits(support & ~b.mask))
         if outside:
             raise LocalityError(f"step {step} would act on qubits {outside} outside the coalition")
 
-    t.log.append(f"step a: extract with D={list(d.members())} on qubits {list(b.members())}")
+    t.log.append(f"step a: extract with D={list(bits(d))} on qubits {list(bits(b.mask))}")
     # U_D puts X^x Z^z|G> on ancilla 1 when X^x Z^z anticommutes with K_D = X^D Z^Odd(D)
     c0, c1 = t.register
     branches = [
-        (coef, x, z, ((x & odd_d.mask).bit_count() + (z & d.mask).bit_count()) & 1)
+        (coef, x, z, ((x & odd_d).bit_count() + (z & d).bit_count()) & 1)
         for coef, x, z in ((c0, 0, 0), (c1, 0, a.mask))
     ]
     on_ancilla_0 = [br for br in branches if not br[3]]
     _check_on_graph_state(g, on_ancilla_0, "register is not a superposition of encoded graph states")
 
-    t.log.append(f"step b: correct with C={list(c_wit.members())}")
+    t.log.append(f"step b: correct with C={list(bits(c_wit))}")
     # V_C = (-1)^e(C) X^C Z^w on ancilla 1; moving Z^w past X^x signs by (-1)^|w & x|
-    flip = edge_parity(g, c_wit.mask)
+    flip = edge_parity(g, c_wit)
     for i, (coef, x, z, anc) in enumerate(branches):
         if anc:
-            sign = (flip + (w.mask & x).bit_count()) & 1
-            branches[i] = (-coef if sign else coef, x ^ c_wit.mask, z ^ w.mask, 1)
+            sign = (flip + (w & x).bit_count()) & 1
+            branches[i] = (-coef if sign else coef, x ^ c_wit, z ^ w, 1)
     _check_on_graph_state(g, branches, "ancilla failed to disentangle from the graph register")
 
     b_x, b_z = shamir.unpack_pad(shamir.reconstruct([t.shares[p] for p in players], need))

@@ -153,7 +153,8 @@ def _encoded_pair(g: Graph, a: VertexSet) -> tuple[StateVector, StateVector]:
 
 def _superpose(pair: tuple[StateVector, StateVector], alpha: complex, beta: complex) -> StateVector:
     """alpha times the first encoding plus beta times the second."""
-    if not abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-9:
+    # a product past the float range is inf and fails, where abs or ** 2 would raise
+    if not abs(sum(x.real * x.real + x.imag * x.imag for x in (alpha, beta)) - 1.0) <= 1e-9:
         raise ValueError("secret amplitudes are not normalized")
     g0, g1 = pair
     return StateVector(g0.n_qubits, alpha * g0.amplitudes + beta * g1.amplitudes)

@@ -8,6 +8,7 @@ from graphqss import access
 from graphqss.access import (
     CVerdict,
     QVerdict,
+    ThresholdReport,
     WitnessPair,
     access_report,
     classify_c,
@@ -19,7 +20,6 @@ from graphqss.access import (
     qstar_threshold,
     rank_residual,
     reconstruction_witnesses,
-    scan_size_k,
     small_witness,
 )
 from graphqss.errors import NoWitnessError, ResourceLimitError
@@ -166,6 +166,53 @@ class TestSpanTestDecides:
         assert not isinstance(err.value, NoWitnessError)
 
 
+class TestCertifiers:
+    """The two certificates on bitmasks raise exactly when their condition,
+    written on vertex sets with ``odd_neighborhood``, fails."""
+
+    @staticmethod
+    def _accessing_clauses(g, a, b, x):
+        # D inside b, Odd(D) inside b, |D & a| odd
+        d = VertexSet(g.n, x)
+        return d.is_subset_of(b), odd_neighborhood(g, d).is_subset_of(b), len(d & a) % 2 == 1
+
+    @staticmethod
+    def _blind_clauses(g, a, b, x):
+        # C outside b, Odd(C) & b == a & b
+        c = VertexSet(g.n, x)
+        return c.is_subset_of(b.complement()), (odd_neighborhood(g, c) & b) == (a & b)
+
+    @staticmethod
+    def _raises(certify, g, a, b, x):
+        try:
+            got = certify(g, a.mask, b.mask, x)
+        except RuntimeError:
+            return True
+        assert got == VertexSet(g.n, x)
+        return False
+
+    @pytest.mark.parametrize(
+        "certify, clauses",
+        [(access._certify_accessing, "_accessing_clauses"), (access._certify_blind, "_blind_clauses")],
+        ids=["accessing", "blind"],
+    )
+    def test_raise_exactly_when_a_clause_fails(self, certify, clauses):
+        # every x on small random graphs, so each clause is seen failing alone
+        rng = random.Random(23)
+        patterns = Counter()
+        for _ in range(300):
+            g, a, b = random_case(rng, max_n=6)
+            assert self._raises(certify, g, a, b, None)
+            for x in range(1 << g.n):
+                holds = getattr(self, clauses)(g, a, b, x)
+                assert self._raises(certify, g, a, b, x) == (not all(holds)), (g.adj, a, b, x)
+                patterns[holds] += 1
+        for i in range(len(holds)):
+            alone = tuple(j != i for j in range(len(holds)))
+            assert patterns[alone] > 0, (i, patterns)
+        assert patterns[(True,) * len(holds)] > 0
+
+
 class TestQuantumVerdicts:
     def test_c5_three_set_accessing(self):
         assert q_accessing(C5, A5, vs(5, [0, 1, 2]))
@@ -262,15 +309,15 @@ class TestThreshold:
         assert rep.k_star == 1 and rep.certificate_fail.members() == ()
 
     def test_enumeration_cap(self, monkeypatch):
-        # refused before the distance walk or any coalition scan
-        monkeypatch.setattr(access, "scan_size_k", None)
+        # refused before the distance walk or any coalition check
+        monkeypatch.setattr(access, "_q_accessing_masks", None)
         monkeypatch.setattr(access, "_distance", None)
         with pytest.raises(ResourceLimitError, match="n=27 exceeds enumeration limit 26"):
             qstar_threshold(family("cycle", 27))
 
     def test_sweeps_reject_bad_encoding_set(self):
         with pytest.raises(ValueError, match="encoding set A must be non-empty"):
-            scan_size_k(C5, VertexSet.empty(5), 3)
+            qstar_threshold(C5, VertexSet.empty(5))
         with pytest.raises(ValueError, match="vertex set universe != graph order"):
             qstar_threshold(C5, VertexSet.full(4))
 
@@ -287,31 +334,31 @@ class TestThreshold:
             assert ok == (size >= rep.k_star)
 
     @staticmethod
-    def _check_scan(g, a, k):
-        # the lex scan against q_accessing on every coalition of the size
-        teams = [vs(g.n, team) for team in itertools.combinations(range(g.n), k)]
-        failures = [i for i, b in enumerate(teams) if not q_accessing(g, a, b)]
-        scan = scan_size_k(g, a, k)
-        if failures:
-            assert scan == access.ScanResult(False, teams[failures[0]], failures[0] + 1)
-        else:
-            assert scan == access.ScanResult(True, None, len(teams))
+    def _scan_oracle(g, a):
+        # the report from q_accessing on every coalition of each size: the
+        # first failure in lex order and its position, until a size passes
+        fail, checked = VertexSet.empty(g.n), 1
+        for k in range(1, g.n + 1):
+            teams = [vs(g.n, team) for team in itertools.combinations(range(g.n), k)]
+            failures = [i for i, b in enumerate(teams) if not q_accessing(g, a, b)]
+            if not failures:
+                return ThresholdReport(k, fail, checked + len(teams))
+            fail, checked = teams[failures[0]], checked + failures[0] + 1
 
     @pytest.mark.parametrize(
-        "a, sizes",
+        "a, k_star",
         [
-            (VertexSet.full(10), (4, 6, 7, 8)),  # every 7-set accesses
-            (VertexSet.from_iterable(10, range(1, 10)), (8,)),  # fails late in lex order
+            (VertexSet.full(10), 7),  # every 7-set accesses
+            (VertexSet.from_iterable(10, range(1, 10)), 9),  # size 8 fails late in lex order
         ],
         ids=["a_all", "a_without_0"],
     )
-    def test_scan_and_threshold_match_oracles_on_c5_p2(self, a, sizes):
+    def test_scan_and_threshold_match_oracles_on_c5_p2(self, a, k_star):
         # one process, no worker pool: jobs=2 is ignored and gives the serial report
         g = lexicographic_product(C5, family("path", 2))
-        for k in sizes:
-            self._check_scan(g, a, k)
         serial = qstar_threshold(g, a, jobs=1)
-        assert qstar_threshold(g, a, jobs=2) == serial == lex_threshold(g, a)
+        assert qstar_threshold(g, a, jobs=2) == serial == lex_threshold(g, a) == self._scan_oracle(g, a)
+        assert serial.k_star == k_star
 
     def test_matches_lex_oracle_on_every_small_pair(self):
         # every field of the report, for every (G, A) with n <= 5
@@ -349,11 +396,9 @@ class TestThreshold:
             qstar_threshold(C5)
 
     def test_scan_counts_are_canonical(self):
-        scan = scan_size_k(C5, A5, 3)
-        assert scan.all_accessing and scan.checked == 10
-        scan = scan_size_k(C5, A5, 2)
-        assert not scan.all_accessing
-        assert scan.first_failure.members() == (0, 1) and scan.checked == 1
+        # 1 (empty) + 1 ({0} fails first) + 1 ({0, 1} fails first) + C(5, 3)
+        rep = qstar_threshold(C5, A5)
+        assert rep.k_star == 3 and rep.certificate_fail.members() == (0, 1) and rep.sets_checked == 13
 
 
 class TestProductBound:

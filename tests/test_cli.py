@@ -155,6 +155,25 @@ class TestProductAndBound:
         assert cli.run(["bound", "--pure-qss", "--max-k", max_k]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_pure_qss_max_k_defaults_to_100(self, capsys):
+        assert run_json(capsys, ["bound", "--pure-qss"]) == run_json(capsys, ["bound", "--pure-qss", "--max-k", "100"])
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["--pure-qss", "--max-k", "3", "--min-k", "--n", "50"], "--pure-qss does not read --n, --min-k"),
+            (["--pure-qss", "--n", "0"], "--pure-qss does not read --n"),
+            (["--pure-qss", "--k", "3"], "--pure-qss does not read --k"),
+            (["--min-k", "--n", "50", "--k", "30"], "--min-k does not read --k"),
+            (["--min-k", "--n", "50", "--max-k", "100"], "--min-k does not read --max-k"),
+            (["--n", "5", "--k", "3", "--max-k", "100"], "bound --n --k does not read --max-k"),
+        ],
+    )
+    def test_unread_mode_option_refused(self, capsys, argv, err):
+        # each mode reads its own options: --pure-qss --max-k, --min-k --n, the plain mode --n and --k
+        assert cli.run(["--json", "bound", *argv]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
 
     def test_counting_inequality_capped(self, capsys, monkeypatch):
         # the exact sum is O(n^2): refused before any binomial is built
@@ -268,7 +287,7 @@ class TestCapBeforeBuild:
 class TestInternalFailure:
     def test_failed_witness_verification_exits_4(self, capsys, monkeypatch, c5_file):
         # a wrong odd neighborhood makes the solver's witness fail its check
-        monkeypatch.setattr(access, "odd_neighborhood", lambda g, d: graphs.VertexSet.full(g.n))
+        monkeypatch.setattr(access, "odd_mask", lambda g, mask: (1 << g.n) - 1)
         code = cli.run(["witness", "--graph", c5_file, "--B", "0,1,2"])
         captured = capsys.readouterr()
         assert code == cli.EXIT_INTERNAL == 4
@@ -429,9 +448,10 @@ class TestProtocolRun:
         assert code == cli.EXIT_NEGATIVE
         assert doc["coalition"] == [] and doc["error"] == "coalition of 0 below threshold 3"
 
-    @pytest.mark.parametrize("secret", ["nan,1", "1,nan"])
+    @pytest.mark.parametrize("secret", ["nan,1", "1,nan", "1e155,0", "0,1e200", "1e308,1e308"])
     def test_nan_secret_refused(self, capsys, secret):
-        # NaN passes no "> tol" test; it must not reach the JSON as a NaN fidelity
+        # NaN passes no "> tol" test; it must not reach the JSON as a NaN fidelity,
+        # and a square past the float range is refused, not an OverflowError
         argv = ["--json", "protocol-run", "--family", "cycle", "--n", "5", "--k", "3"]
         code = cli.run(argv + ["--coalition", "0,1,2", "--secret", secret])
         captured = capsys.readouterr()

@@ -18,6 +18,7 @@ from graphqss.graphs import (
     edge_parity,
     family,
     lexicographic_product,
+    odd_mask,
     odd_neighborhood,
     parse_graph,
     serialize_graph,
@@ -103,6 +104,14 @@ class TestOddNeighborhood:
         full = (1 << g.n) - 1
         x, y = VertexSet(g.n, xm & full), VertexSet(g.n, ym & full)
         assert odd_neighborhood(g, x ^ y) == odd_neighborhood(g, x) ^ odd_neighborhood(g, y)
+
+    @given(small_graphs(), st.integers(0, 255))
+    @settings(max_examples=100, deadline=None)
+    def test_odd_mask_counts_neighbors(self, g, mask):
+        # v is in Odd(mask) exactly when an odd number of its neighbors are in mask
+        mask &= (1 << g.n) - 1
+        odd = sum(1 << v for v in range(g.n) if sum(g.has_edge(v, u) for u in bits(mask)) % 2)
+        assert odd_mask(g, mask) == odd == odd_neighborhood(g, VertexSet(g.n, mask)).mask
 
 
 class TestEdgeParity:

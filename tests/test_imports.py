@@ -55,7 +55,7 @@ PUBLIC_API = {
     "measure_access_observable", "min_feasible_k", "odd_neighborhood", "parse_graph", "privacy_probe",
     "product_threshold_bound", "protocol", "pure_qss_feasibility", "q_accessing", "q_classify",
     "qstar_threshold", "quantum", "reconstruct", "reconstruction_witnesses", "reduced_density",
-    "scan_size_k", "serialize_graph", "shamir", "small_witness",
+    "serialize_graph", "shamir", "small_witness",
 }
 
 

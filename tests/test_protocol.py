@@ -68,9 +68,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             deal(ProtocolConfig(C5, A5, 3), (0.9, 0.9))
 
-    @pytest.mark.parametrize("secret", [(float("nan"), 1.0), (1.0, float("nan"))])
+    @pytest.mark.parametrize(
+        "secret",
+        # NaN, and squares past the float range, which must not raise OverflowError
+        [
+            (float("nan"), 1.0),
+            (1.0, float("nan")),
+            (1e155, 0.0),
+            (0.0, 1e200),
+            (1e308, 1e308),
+            (complex(1.7e308, 1.7e308), 0.0),
+        ],
+    )
     def test_nan_secret_rejected(self, secret):
-        with pytest.raises(ValueError, match="not normalized"):
+        with pytest.raises(ValueError, match="^secret amplitudes are not normalized$"):
             deal(ProtocolConfig(C5, A5, 3), secret)
 
 
@@ -130,7 +141,7 @@ class TestDeal:
         def no_scan(*args):
             raise AssertionError("deal scanned coalitions")
 
-        monkeypatch.setattr(access, "scan_size_k", no_scan)
+        monkeypatch.setattr(access, "_q_accessing_masks", no_scan)
         protocol._threshold_feasible.cache_clear()
         deal(ProtocolConfig(C5, A5, 3), (0.6, 0.8))
         with pytest.raises(ValueError, match="some size-2 coalition cannot reconstruct"):
@@ -284,6 +295,37 @@ class TestReconstruct:
                 assert (rec.alpha, rec.beta) == secret
                 runs += 1
         assert runs == 9 * 3 * 2 * 4
+
+
+class TestVertexSetConstructions:
+    """Inside access and protocol a coalition stays a bitmask: a VertexSet is
+    built only for a value a public call returns, plus protocol's coalition."""
+
+    C9 = family("cycle", 9)
+    A9 = VertexSet.full(9)
+    B = VertexSet.from_iterable(9, range(7))
+
+    @pytest.mark.parametrize(
+        "call, built",
+        [
+            (lambda g, a, b, t: access.classify_c(g, a, b), 1),
+            (lambda g, a, b, t: access.access_report(g, a, b), 1),
+            (lambda g, a, b, t: access.reconstruction_witnesses(g, a, b), 2),
+            (lambda g, a, b, t: reconstruct(t, range(7)), 3),
+        ],
+        ids=["classify_c", "access_report", "reconstruction_witnesses", "reconstruct"],
+    )
+    def test_counts_on_c9(self, monkeypatch, call, built):
+        t = deal(ProtocolConfig(self.C9, self.A9, 7), (0.6, 0.8))
+        real, made = VertexSet.__post_init__, []
+
+        def counting(vertex_set):
+            made.append(vertex_set)
+            real(vertex_set)
+
+        monkeypatch.setattr(VertexSet, "__post_init__", counting)
+        call(self.C9, self.A9, self.B, t)
+        assert len(made) == built
 
 
 class TestPrivacyProbe:

@@ -155,6 +155,10 @@ class TestEncodeEmbed:
             embed_secret(C5, A5, float("nan"), 1.0)
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, np.array([np.nan, 1.0], dtype=complex))
+        # a square past the float range is inf and fails too, with no OverflowError
+        for secret in [(1e155, 0.0), (0.0, 1e200), (1e308, 1e308), (complex(1.7e308, 1.7e308), 0.0)]:
+            with pytest.raises(ValueError, match="^secret amplitudes are not normalized$"):
+                embed_secret(C5, A5, *secret)
 
 
 class TestReducedDensity:
