@@ -79,8 +79,9 @@ class Transcript:
 
 
 @lru_cache(maxsize=256)
-def _threshold_feasible(g: Graph, a: VertexSet, k: int) -> bool:
-    return k >= access._k_star(g, a)
+def _threshold_feasible(g: Graph, a: VertexSet) -> int:
+    """k*, one distance walk per (g, a): a deal is feasible iff its k is at least this."""
+    return access._k_star(g, a)
 
 
 def _pad(alpha: complex, beta: complex, b_x: int, b_z: int) -> tuple[complex, complex]:
@@ -99,7 +100,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
     # the distance walk refuses graphs over access.ENUMERATION_LIMIT vertices
-    if not _threshold_feasible(g, a, cfg.k):
+    if cfg.k < _threshold_feasible(g, a):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
     rng = random.Random(cfg.seed)
     b_x, b_z = rng.randrange(2), rng.randrange(2)

@@ -530,13 +530,13 @@ class TestExhaustiveSearch:
         assert exhaustive_graph_search(2).k_stars.min() == 2
 
     def test_resource_cap(self, monkeypatch):
-        # refused before any array is built: at n = 12 the mask array alone
-        # would have 2^66 entries
+        # refused before any array is built: at n = 12 each neighbour array
+        # would double to 2^66 entries
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the cap was checked")
 
-        monkeypatch.setattr(access, "_edge_bit", fail)
-        monkeypatch.setattr("numpy.arange", fail)
+        monkeypatch.setattr("numpy.zeros", fail)
+        monkeypatch.setattr("numpy.concatenate", fail)
         for n in (7, 8, 12):
             with pytest.raises(ResourceLimitError, match=f"n={n} exceeds exhaustive search limit 6"):
                 exhaustive_graph_search(n)
@@ -587,6 +587,17 @@ class TestExhaustiveSearch:
         assert report.attainers_graph6 == tuple(
             serialize_graph(edge_mask_graph(n, m), "graph6") for m, k in enumerate(expected) if k == best
         )
+
+    def test_n7_sweep_past_the_cap(self, monkeypatch):
+        # the 2^21-entry arrays past the cap; no oracle sweeps 2^21 graphs in
+        # test time, so the report's values are pinned
+        monkeypatch.setattr(access, "SEARCH_N_LIMIT", 7)
+        report = exhaustive_graph_search(7)
+        assert report.k_stars.dtype == "uint8" and len(report.k_stars) == 1 << 21
+        assert report.histogram == {5: 125670, 6: 1551746, 7: 419736}
+        attainers = report.attainers_graph6
+        assert len(attainers) == len(set(attainers)) == 125670
+        assert (attainers[0], attainers[-1]) == ("FLrE?", "FqKxw")
 
     def test_n6_histogram_and_attainers(self):
         report = exhaustive_graph_search(6)

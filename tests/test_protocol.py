@@ -146,7 +146,19 @@ class TestDeal:
         deal(ProtocolConfig(C5, A5, 3), (0.6, 0.8))
         with pytest.raises(ValueError, match="some size-2 coalition cannot reconstruct"):
             deal(ProtocolConfig(C5, A5, 2), (0.6, 0.8))
-        assert protocol._threshold_feasible.cache_info().misses == 2
+        assert protocol._threshold_feasible.cache_info().misses == 1
+
+    def test_one_distance_walk_per_graph_and_access_set(self, monkeypatch):
+        # k* is cached per (G, A), so deals at k*, k* + 1 and k* + 2 share a walk
+        walks = []
+        distance = access._distance
+        monkeypatch.setattr(access, "_distance", lambda *args: walks.append(args) or distance(*args))
+        protocol._threshold_feasible.cache_clear()
+        for k in (3, 4, 5):
+            deal(ProtocolConfig(C5, A5, k), (0.6, 0.8))
+        assert len(walks) == 1
+        info = protocol._threshold_feasible.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
 
 
 class TestReconstruct:
