@@ -10,6 +10,7 @@ view independent of the bit.  This script classifies every coalition of the
 import itertools
 
 from graphqss import (
+    CVerdict,
     VertexSet,
     access_report,
     family,
@@ -25,11 +26,10 @@ print("coalition  classical   quantum      certificate")
 for size in range(6):
     for team in itertools.combinations(range(5), size):
         rep = access_report(c5, everyone, VertexSet.from_iterable(5, team))
-        wit = rep.witnesses.d if rep.witnesses.d is not None else rep.witnesses.c
-        kind = "D" if rep.witnesses.d is not None else "C"
+        kind = "D" if rep.c_verdict is CVerdict.ACCESSING else "C"
         print(
             f"{str(team):10} {rep.c_verdict.value:11} {rep.q_verdict.value:12} "
-            f"{kind}={list(wit.members())}"
+            f"{kind}={list(rep.witness.members())}"
         )
 
 print()

@@ -9,11 +9,11 @@ perfectly separates the (1, +i) and (1, -i) superposition secrets.
 
 from graphqss import (
     VertexSet,
+    access_report,
     distinguishability,
     embed_secret,
     family,
     graph_state,
-    q_classify,
 )
 from graphqss.quantum import stabilizer_for, apply_pauli, trace_norm
 
@@ -24,7 +24,7 @@ print("5-cycle, coalitions by size (overlap ~ 0 means accessing):")
 for team in [(0,), (0, 1), (0, 2), (0, 1, 2), (0, 2, 4), (0, 1, 2, 3)]:
     b = VertexSet.from_iterable(5, team)
     ov, dist = distinguishability(c5, everyone, b)
-    verdict = q_classify(c5, everyone, b).value
+    verdict = access_report(c5, everyone, b).q_verdict.value
     print(f"  {str(team):14} overlap={ov:.3f} distance={dist:.3f}  {verdict}")
 
 print("\nstabilizer fixpoints (state unchanged under every generator product):")
@@ -40,7 +40,7 @@ a3 = VertexSet.full(3)
 pair = VertexSet.from_iterable(3, [0, 1])
 ov, dist = distinguishability(k3, a3, pair)
 print(f"  basis encodings:   overlap={ov:.3f} distance={dist:.3f} "
-      f"({q_classify(k3, a3, pair).value})")
+      f"({access_report(k3, a3, pair).q_verdict.value})")
 s2 = 2**-0.5
 plus_i = embed_secret(k3, a3, s2, 1j * s2)
 minus_i = embed_secret(k3, a3, s2, -1j * s2)

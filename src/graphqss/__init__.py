@@ -28,14 +28,11 @@ from .access import (
     CVerdict,
     QVerdict,
     ThresholdReport,
-    WitnessPair,
     access_report,
-    classify_c,
     edge_mask_graph,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,
-    q_classify,
     qstar_threshold,
     reconstruction_witnesses,
     small_witness,

@@ -6,10 +6,14 @@ the complement of B reproduces A's pattern on B.  Exactly one of the two
 always holds.  One span test, whether the A-pattern on B lies outside the row
 space of the cut matrix, decides every verdict, and an elimination certifies
 it with a witness.  Quantum accessibility combines the verdicts of B and its
-complement.  Every verdict is exact GF(2) arithmetic on bitmasks: a public
-call checks its sets once (``_masks``), and from there coalitions, witness
-candidates and supports stay ints, with ``graphs.odd_mask`` for Odd(.); a
-VertexSet is built only for a value the call returns.  A threshold comes
+complement.  Three public calls answer every coalition question:
+``access_report`` (both verdicts and the one witness of B's side),
+``q_accessing`` (the quantum predicate alone, which the threshold scan runs)
+and ``reconstruction_witnesses`` (the pair the protocol runs).  Every
+verdict is exact GF(2) arithmetic on bitmasks: a public call checks its
+sets once (``_masks``), and from there coalitions, witness candidates and
+supports stay ints, with ``graphs.odd_mask`` for Odd(.); a VertexSet is
+built only for a value the call returns.  A threshold comes
 from the smallest support of a stabilizer-group coset element; the
 exhaustive search finds it for every labelled graph at once with NumPy
 integer arrays.
@@ -21,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
@@ -46,24 +50,15 @@ class QVerdict(Enum):
     PARTIAL = "Partial"
 
 
-class CClassification(NamedTuple):
-    verdict: CVerdict
-    witness: VertexSet
-
-
-@dataclass(frozen=True)
-class WitnessPair:
-    d: Optional[VertexSet] = None
-    c: Optional[VertexSet] = None
-
-
 @dataclass(frozen=True)
 class AccessReport:
+    """``witness`` certifies ``c_verdict``: D inside the coalition when it
+    is accessing, C outside it when it is blind."""
+
     coalition: VertexSet
     c_verdict: CVerdict
     q_verdict: QVerdict
-    witnesses: WitnessPair
-    rank_residual: int
+    witness: VertexSet
 
 
 @dataclass(frozen=True)
@@ -165,38 +160,7 @@ def _blind_witness(g: Graph, a: int, b: int, full: int) -> VertexSet:
     return _certify_blind(g, a, b, gf2.reduce_rows(rows, full ^ b)[1])
 
 
-def _q_verdict(acc_b: bool, acc_bbar: bool) -> QVerdict:
-    """Partial when the span tests on b and on its complement agree."""
-    if acc_b == acc_bbar:
-        return QVerdict.PARTIAL
-    return QVerdict.Q_ACCESSING if acc_b else QVerdict.Q_BLIND
-
-
 # -- classification ------------------------------------------------------------
-
-
-def rank_residual(g: Graph, a: VertexSet, b: VertexSet) -> int:
-    """Rank of the cut matrix stacked with the A-pattern, minus the cut rank.
-
-    1 means the coalition is accessing, 0 that it is blind.
-    """
-    return 1 if _accessing(g.adj, *_masks(g, a, b)) else 0
-
-
-def classify_c(g: Graph, a: VertexSet, b: VertexSet) -> CClassification:
-    """Classify one coalition against a classical secret and certify it.
-
-    The span test decides the verdict.  Accessing is then certified by D
-    inside b (odd neighborhood inside b, odd overlap with a), blind by C
-    outside b whose odd neighborhood reproduces a's pattern on b.  The
-    witness is re-verified by direct neighborhood computation, and
-    RuntimeError reports one that is missing or fails; ties in the solver
-    are broken lexicographically so runs are reproducible.
-    """
-    ma, mb, full = _masks(g, a, b)
-    if _accessing(g.adj, ma, mb, full):
-        return CClassification(CVerdict.ACCESSING, _accessing_witness(g, ma, mb, full))
-    return CClassification(CVerdict.BLIND, _blind_witness(g, ma, mb, full))
 
 
 def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
@@ -205,21 +169,26 @@ def q_accessing(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     return _q_accessing_masks(g.adj, ma, mb, full)
 
 
-def q_classify(g: Graph, a: VertexSet, b: VertexSet) -> QVerdict:
-    """The span test on b and on its complement: Partial when they agree."""
-    ma, mb, full = _masks(g, a, b)
-    return _q_verdict(_accessing(g.adj, ma, mb, full), _accessing(g.adj, ma, full ^ mb, full))
-
-
 def access_report(g: Graph, a: VertexSet, b: VertexSet) -> AccessReport:
-    """Full classification of one coalition: the span test decides both
-    sides, and b's side is certified by the witness ``classify_c`` gives."""
+    """Classify one coalition for the classical and the quantum secret.
+
+    The span test decides b and its complement: Partial when they agree,
+    else QAccessing or QBlind as b is accessing or not.  b's side is then
+    certified by a witness, re-verified by direct neighborhood computation:
+    accessing by D inside b (odd neighborhood inside b, odd overlap with a),
+    blind by C outside b whose odd neighborhood reproduces a's pattern on b.
+    RuntimeError reports a witness that is missing or fails; ties in the
+    solver are broken lexicographically so runs are reproducible.
+    """
     ma, mb, full = _masks(g, a, b)
     acc_b = _accessing(g.adj, ma, mb, full)
-    q = _q_verdict(acc_b, _accessing(g.adj, ma, full ^ mb, full))
+    if acc_b == _accessing(g.adj, ma, full ^ mb, full):
+        q = QVerdict.PARTIAL
+    else:
+        q = QVerdict.Q_ACCESSING if acc_b else QVerdict.Q_BLIND
     if acc_b:
-        return AccessReport(b, CVerdict.ACCESSING, q, WitnessPair(d=_accessing_witness(g, ma, mb, full)), 1)
-    return AccessReport(b, CVerdict.BLIND, q, WitnessPair(c=_blind_witness(g, ma, mb, full)), 0)
+        return AccessReport(b, CVerdict.ACCESSING, q, _accessing_witness(g, ma, mb, full))
+    return AccessReport(b, CVerdict.BLIND, q, _blind_witness(g, ma, mb, full))
 
 
 def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[VertexSet, VertexSet]:

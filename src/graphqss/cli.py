@@ -186,15 +186,16 @@ def _cmd_classify(args) -> tuple[dict, int]:
     g = _load_graph(args)
     a, b = _sets(args, g)
     report = access.access_report(g, a, b)
+    accessing = report.c_verdict is access.CVerdict.ACCESSING
     doc = {
         "n": g.n,
         "A": _members(a),
         "coalition": _members(b),
         "c_verdict": report.c_verdict.value,
         "q_verdict": report.q_verdict.value,
-        "rank_residual": report.rank_residual,
-        "witness_D": _members(report.witnesses.d),
-        "witness_C": _members(report.witnesses.c),
+        "rank_residual": int(accessing),
+        "witness_D": _members(report.witness if accessing else None),
+        "witness_C": _members(None if accessing else report.witness),
     }
     code = EXIT_OK if report.q_verdict is access.QVerdict.Q_ACCESSING else EXIT_NEGATIVE
     return doc, code
@@ -231,6 +232,7 @@ def _cmd_threshold(args) -> tuple[dict, int]:
 
 def _cmd_product(args) -> tuple[dict, int]:
     n, k = access.product_threshold_bound(args.n1, args.k1, args.n2, args.k2)
+    _check_printable(n=n, k=k)
     return {"n1": args.n1, "k1": args.k1, "n2": args.n2, "k2": args.k2, "n": n, "k": k}, EXIT_OK
 
 

@@ -114,15 +114,28 @@ class Graph:
             raise ValueError("vertex count must be >= 0")
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count != n")
+        lower = [0] * self.n  # lower[j]: the i < j whose row has j, from the upper triangle
         for i, row in enumerate(self.adj):
             if row < 0 or row >> self.n:
+                self._refuse_asymmetry(i)
                 raise ValueError(f"adjacency row {i} has out-of-range bits")
-            if (row >> i) & 1:
+            m = row >> i
+            if m & 1:
+                self._refuse_asymmetry(i)
                 raise ValueError(f"self-loop at vertex {i}")
-            m = row
+            bit = 1 << i if m else 0  # no i-bit int for a row with no upper bits
             while m:  # inline, not bits(): this loop runs for every graph built
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
+                low = m & -m
+                m ^= low
+                lower[i + low.bit_length() - 1] |= bit
+        for j, row in enumerate(self.adj):
+            if row ^ (row >> j << j) != lower[j]:  # no j-bit mask: O(1) on an empty row
+                self._refuse_asymmetry(self.n)
+
+    def _refuse_asymmetry(self, rows: int) -> None:
+        """Raise for the first (i, j), i < rows, whose row i has j but row j lacks i."""
+        for i in range(rows):
+            for j in bits(self.adj[i]):
                 if not (self.adj[j] >> i) & 1:
                     raise ValueError(f"adjacency not symmetric at ({i}, {j})")
 

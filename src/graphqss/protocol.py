@@ -42,10 +42,7 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.access_set.universe != self.graph.n:
-            raise ValueError("access set universe != graph order")
-        if not self.access_set:
-            raise ValueError("encoding set A must be non-empty")
+        access._check_a(self.graph, self.access_set)
         if not 1 <= self.k <= self.graph.n:
             raise ValueError("need 1 <= k <= n")
         if self.c < 0:

@@ -11,17 +11,15 @@ from math import comb
 
 import pytest
 
-from graphqss import bounds, quantum
+from graphqss import access, bounds, quantum
 from graphqss.access import (
     CVerdict,
     QVerdict,
-    classify_c,
+    access_report,
     edge_mask_graph,
     exhaustive_graph_search,
     q_accessing,
-    q_classify,
     qstar_threshold,
-    rank_residual,
     small_witness,
 )
 from graphqss.graphs import (
@@ -61,9 +59,9 @@ def test_criterion_01_c5_threshold():
     rep = qstar_threshold(C5, A5)
     assert rep.k_star == 3
     for team in itertools.combinations(range(5), 3):
-        assert q_classify(C5, A5, VertexSet.from_iterable(5, team)) is QVerdict.Q_ACCESSING
+        assert access_report(C5, A5, VertexSet.from_iterable(5, team)).q_verdict is QVerdict.Q_ACCESSING
     for team in itertools.combinations(range(5), 2):
-        assert q_classify(C5, A5, VertexSet.from_iterable(5, team)) is QVerdict.Q_BLIND
+        assert access_report(C5, A5, VertexSet.from_iterable(5, team)).q_verdict is QVerdict.Q_BLIND
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(1, f"C5 realizes ((3,5)); 3-sets accessing, 2-sets blind ({elapsed:.3f}s)")
@@ -76,7 +74,7 @@ def test_criterion_02_complete_graph_structure():
         a = VertexSet.full(n)
         for mask in range(1 << n):
             b = VertexSet(n, mask)
-            verdict = q_classify(kn, a, b)
+            verdict = access_report(kn, a, b).q_verdict
             if mask == (1 << n) - 1:
                 assert verdict is QVerdict.Q_ACCESSING
             elif mask == 0:
@@ -119,7 +117,7 @@ def test_criterion_04_oracle_equivalence():
                 g1 = encode_classical(g, a, 1)
                 for bmask in range(1 << n):
                     b = VertexSet(n, bmask)
-                    verdict, _ = classify_c(g, a, b)
+                    verdict = access_report(g, a, b).c_verdict
                     r0 = reduced_density(g0, b)
                     r1 = reduced_density(g1, b)
                     ov = overlap(r0, r1)
@@ -133,7 +131,7 @@ def test_criterion_04_oracle_equivalence():
         g = family("random", n, p=rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
         a = VertexSet(n, rng.randrange(1, 1 << n))
         b = VertexSet(n, rng.randrange(1 << n))
-        verdict, _ = classify_c(g, a, b)
+        verdict = access_report(g, a, b).c_verdict
         ov, dist = quantum.distinguishability(g, a, b)
         assert (ov < ZERO_TOL) == (verdict is CVerdict.ACCESSING)
         assert (dist < ZERO_TOL) == (verdict is CVerdict.BLIND)
@@ -149,9 +147,10 @@ def test_criterion_05_partition_property():
         g = family("random", n, p=rng.choice([0.2, 0.5, 0.8]), seed=rng.randrange(10**6))
         a = VertexSet(n, rng.randrange(1, 1 << n))
         b = VertexSet(n, rng.randrange(1 << n))
-        residual = rank_residual(g, a, b)
-        assert residual in (0, 1)
-        verdict, witness = classify_c(g, a, b)
+        # the span test alone: the rank residual, 1 exactly when accessing
+        residual = int(access._accessing(g.adj, a.mask, b.mask, (1 << n) - 1))
+        rep = access_report(g, a, b)
+        verdict, witness = rep.c_verdict, rep.witness
         assert (verdict is CVerdict.ACCESSING) == (residual == 1)
         if verdict is CVerdict.ACCESSING:
             assert odd_neighborhood(g, witness).is_subset_of(b)
@@ -183,7 +182,7 @@ def _battery_n5_to_n7():
 
 def test_criterion_06_equivalences():
     def c_accessing(g, a, b):
-        return rank_residual(g, a, b) == 1
+        return access_report(g, a, b).c_verdict is CVerdict.ACCESSING
 
     cases = 0
     for n in range(1, 5):

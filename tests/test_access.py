@@ -9,16 +9,12 @@ from graphqss.access import (
     CVerdict,
     QVerdict,
     ThresholdReport,
-    WitnessPair,
     access_report,
-    classify_c,
     edge_mask_graph,
     exhaustive_graph_search,
     product_threshold_bound,
     q_accessing,
-    q_classify,
     qstar_threshold,
-    rank_residual,
     reconstruction_witnesses,
     small_witness,
 )
@@ -88,58 +84,65 @@ class TestCutMatrix:
 
 class TestClassifyClassical:
     def test_c5_accessing_with_witness(self):
-        verdict, d = classify_c(C5, A5, vs(5, [0, 1, 2]))
-        assert verdict is CVerdict.ACCESSING
-        assert d.members() == (1,)
+        rep = access_report(C5, A5, vs(5, [0, 1, 2]))
+        assert rep.c_verdict is CVerdict.ACCESSING
+        assert rep.witness.members() == (1,)
 
     def test_c5_blind_with_witness(self):
-        verdict, c = classify_c(C5, A5, vs(5, [0, 1]))
-        assert verdict is CVerdict.BLIND
-        assert c.members() == (2, 4)
+        rep = access_report(C5, A5, vs(5, [0, 1]))
+        assert rep.c_verdict is CVerdict.BLIND
+        assert rep.witness.members() == (2, 4)
 
     def test_empty_coalition_blind(self):
-        verdict, c = classify_c(C5, A5, VertexSet.empty(5))
-        assert verdict is CVerdict.BLIND and c.members() == ()
+        rep = access_report(C5, A5, VertexSet.empty(5))
+        assert rep.c_verdict is CVerdict.BLIND and rep.witness.members() == ()
 
     def test_rejects_empty_encoding_set(self):
         with pytest.raises(ValueError):
-            classify_c(C5, VertexSet.empty(5), vs(5, [0]))
+            access_report(C5, VertexSet.empty(5), vs(5, [0]))
+
+    @staticmethod
+    def _check_against_brute_force(g, a, b):
+        rep = access_report(g, a, b)
+        d = brute_accessing_witness(g, a, b)
+        c = brute_blind_witness(g, a, b)
+        assert (d is None) != (c is None), "exactly one witness family must exist"
+        assert rep.coalition == b
+        assert (rep.c_verdict is CVerdict.ACCESSING) == (d is not None)
+        witness = rep.witness
+        if rep.c_verdict is CVerdict.ACCESSING:
+            assert witness.is_subset_of(b)
+            assert odd_neighborhood(g, witness).is_subset_of(b)
+            assert len(witness & a) % 2 == 1
+        else:
+            assert witness.is_subset_of(b.complement())
+            assert (odd_neighborhood(g, witness) & b) == (a & b)
+        acc_bbar = brute_accessing_witness(g, a, b.complement()) is not None
+        q = QVerdict.PARTIAL
+        if (d is not None) != acc_bbar:
+            q = QVerdict.Q_ACCESSING if d is not None else QVerdict.Q_BLIND
+        assert rep.q_verdict is q
+        assert q_accessing(g, a, b) == (q is QVerdict.Q_ACCESSING)
+        # the pair routine against the same oracle
+        if q is QVerdict.Q_ACCESSING:
+            d_pair, c_pair = reconstruction_witnesses(g, a, b)
+            bbar = b.complement()
+            assert d_pair == witness and c_pair.is_subset_of(b)
+            assert (odd_neighborhood(g, c_pair) & bbar) == (a & bbar)
+        else:
+            with pytest.raises(NoWitnessError):
+                reconstruction_witnesses(g, a, b)
 
     def test_partition_against_brute_force(self):
         rng = random.Random(42)
         for _ in range(300):
-            g, a, b = random_case(rng)
-            verdict, witness = classify_c(g, a, b)
-            d = brute_accessing_witness(g, a, b)
-            c = brute_blind_witness(g, a, b)
-            assert (d is None) != (c is None), "exactly one witness family must exist"
-            assert (verdict is CVerdict.ACCESSING) == (d is not None)
-            assert rank_residual(g, a, b) == (1 if d is not None else 0)
-            if verdict is CVerdict.ACCESSING:
-                assert witness.is_subset_of(b)
-                assert odd_neighborhood(g, witness).is_subset_of(b)
-                assert len(witness & a) % 2 == 1
-            else:
-                assert witness.is_subset_of(b.complement())
-                assert (odd_neighborhood(g, witness) & b) == (a & b)
-            # every other verdict routine against the same oracle
-            acc_bbar = brute_accessing_witness(g, a, b.complement()) is not None
-            q = QVerdict.PARTIAL
-            if (d is not None) != acc_bbar:
-                q = QVerdict.Q_ACCESSING if d is not None else QVerdict.Q_BLIND
-            rep = access_report(g, a, b)
-            pair = WitnessPair(d=witness) if d is not None else WitnessPair(c=witness)
-            assert (rep.c_verdict, rep.q_verdict, rep.witnesses) == (verdict, q, pair)
-            assert q_classify(g, a, b) is q
-            if q is QVerdict.Q_ACCESSING:
-                d_pair, c_pair = reconstruction_witnesses(g, a, b)
-                bbar = b.complement()
-                assert d_pair == witness and c_pair.is_subset_of(b)
-                assert (odd_neighborhood(g, c_pair) & bbar) == (a & bbar)
-            else:
-                with pytest.raises(NoWitnessError):
-                    reconstruction_witnesses(g, a, b)
-
+            self._check_against_brute_force(*random_case(rng))
+        # every graph on at most 4 vertices, every non-empty A, every B
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                for amask in range(1, 1 << n):
+                    for bmask in range(1 << n):
+                        self._check_against_brute_force(g, VertexSet(n, amask), VertexSet(n, bmask))
 
 class TestSpanTestDecides:
     """The span test decides and the elimination only certifies: with the
@@ -153,11 +156,10 @@ class TestSpanTestDecides:
     @pytest.mark.parametrize(
         "b,kind", [([0, 1, 2], "blind"), ([0, 1], "accessing")], ids=["accessing", "blind"]
     )
-    def test_classify_c_and_access_report(self, flipped, b, kind):
-        for routine in (classify_c, access_report):
-            with pytest.raises(RuntimeError, match=f"^{kind} witness missing") as err:
-                routine(C5, A5, vs(5, b))
-            assert not isinstance(err.value, NoWitnessError)
+    def test_access_report(self, flipped, b, kind):
+        with pytest.raises(RuntimeError, match=f"^{kind} witness missing") as err:
+            access_report(C5, A5, vs(5, b))
+        assert not isinstance(err.value, NoWitnessError)
 
     def test_reconstruction_witnesses(self, flipped):
         # {0, 1} is Q-blind, so the flipped test calls it Q-accessing
@@ -227,21 +229,21 @@ class TestQuantumVerdicts:
             assert q_accessing(g, a, g.vertices())
 
     def test_c5_pair_is_qblind(self):
-        assert q_classify(C5, A5, vs(5, [0, 1])) is QVerdict.Q_BLIND
+        assert access_report(C5, A5, vs(5, [0, 1])).q_verdict is QVerdict.Q_BLIND
 
     def test_k3_pair_is_partial(self):
-        assert q_classify(K3, A3, vs(3, [0, 1])) is QVerdict.PARTIAL
+        assert access_report(K3, A3, vs(3, [0, 1])).q_verdict is QVerdict.PARTIAL
 
     def test_k3_full_is_qaccessing(self):
-        assert q_classify(K3, A3, VertexSet.full(3)) is QVerdict.Q_ACCESSING
+        assert access_report(K3, A3, VertexSet.full(3)).q_verdict is QVerdict.Q_ACCESSING
 
     def test_delta_complement_formulation_agrees(self):
         rng = random.Random(13)
         for _ in range(200):
             g, a, b = random_case(rng)
-            via_pair = rank_residual(g, a, b) == 1 and rank_residual(
-                delta_complement(g, a), a, b
-            ) == 1
+            via_pair = all(
+                access_report(h, a, b).c_verdict is CVerdict.ACCESSING for h in (g, delta_complement(g, a))
+            )
             assert q_accessing(g, a, b) == via_pair
 
     def test_monotone_in_coalition(self):
@@ -261,13 +263,15 @@ class TestQuantumVerdicts:
         for _ in range(100):
             g, a, b = random_case(rng)
             rep = access_report(g, a, b)
-            assert (rep.c_verdict is CVerdict.ACCESSING) == (rep.rank_residual == 1)
+            # the span test alone, as the CLI's rank_residual reports it
+            accessing = access._accessing(g.adj, a.mask, b.mask, (1 << g.n) - 1)
+            assert (rep.c_verdict is CVerdict.ACCESSING) == accessing
             if rep.q_verdict is QVerdict.Q_ACCESSING:
-                assert rep.c_verdict is CVerdict.ACCESSING
-            if rep.c_verdict is CVerdict.ACCESSING:
-                assert rep.witnesses.d is not None and rep.witnesses.c is None
-            else:
-                assert rep.witnesses.c is not None and rep.witnesses.d is None
+                assert accessing
+            if rep.q_verdict is QVerdict.Q_BLIND:
+                assert not accessing
+            # the one witness lies on the side the verdict names
+            assert rep.witness.is_subset_of(b if accessing else b.complement())
 
 
 class TestReconstructionWitnesses:

@@ -227,6 +227,14 @@ class TestBoundDigitLimit:
             assert captured.err == "resource limit: lhs has more than 4300 digits, the int-to-str limit\n"
 
 
+def test_product_over_the_limit_refused(capsys, digit_limit):
+    nines = "9" * 2200  # n = nines**2 has 4,400 digits
+    assert cli.run(["--json", "product", "--n1", nines, "--k1", "1", "--n2", nines, "--k2", "1"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource limit: n has more than 4300 digits, the int-to-str limit\n"
+
+
 class TestCapBeforeBuild:
     """A generated graph over its command's cap is refused unbuilt, with the
     message and exit code the built graph would get."""

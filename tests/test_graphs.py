@@ -73,6 +73,25 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (0b10, 0b00))
 
+    def test_every_missing_mirror_bit(self):
+        # each edge's bit dropped from one row, in both directions (i < j and i > j)
+        g = family("random", 12, p=0.5, seed=3)
+        for i, j in g.edges():
+            for keep, lose in ((i, j), (j, i)):
+                adj = list(g.adj)
+                adj[lose] &= ~(1 << keep)
+                with pytest.raises(ValueError, match=rf"^adjacency not symmetric at \({keep}, {lose}\)$"):
+                    Graph(12, tuple(adj))
+
+    def test_first_defect_in_row_order(self):
+        # rows 0 and 1 disagree before row 2's self-loop is reached
+        with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
+            Graph(3, (0b010, 0b000, 0b100))
+        with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
+            Graph(3, (0b011, 0b000, 0b000))
+        with pytest.raises(ValueError, match="^adjacency row 1 has out-of-range bits$"):
+            Graph(3, (0b000, 0b1000, 0b001))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             Graph(1, (0b1,))

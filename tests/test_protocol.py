@@ -320,12 +320,11 @@ class TestVertexSetConstructions:
     @pytest.mark.parametrize(
         "call, built",
         [
-            (lambda g, a, b, t: access.classify_c(g, a, b), 1),
             (lambda g, a, b, t: access.access_report(g, a, b), 1),
             (lambda g, a, b, t: access.reconstruction_witnesses(g, a, b), 2),
             (lambda g, a, b, t: reconstruct(t, range(7)), 3),
         ],
-        ids=["classify_c", "access_report", "reconstruction_witnesses", "reconstruct"],
+        ids=["access_report", "reconstruction_witnesses", "reconstruct"],
     )
     def test_counts_on_c9(self, monkeypatch, call, built):
         t = deal(ProtocolConfig(self.C9, self.A9, 7), (0.6, 0.8))

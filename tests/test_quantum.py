@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from graphqss import quantum
-from graphqss.access import CVerdict, classify_c
+from graphqss.access import CVerdict, QVerdict, access_report
 from graphqss.errors import ProtocolStateError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.quantum import (
@@ -206,9 +206,7 @@ class TestDistinguishability:
         b = vs(3, [0, 1])
         ov, dist = distinguishability(k3, a3, b)
         assert ov > 0.1 and dist < 1e-10
-        from graphqss.access import q_classify
-
-        assert q_classify(k3, a3, b).value == "Partial"
+        assert access_report(k3, a3, b).q_verdict is QVerdict.PARTIAL
         s2 = 2**-0.5
         r_plus_i = reduced_density(embed_secret(k3, a3, s2, 1j * s2), b)
         r_minus_i = reduced_density(embed_secret(k3, a3, s2, -1j * s2), b)
@@ -231,7 +229,7 @@ class TestDistinguishability:
                 a = VertexSet(3, amask)
                 for bmask in range(8):
                     b = VertexSet(3, bmask)
-                    verdict, _ = classify_c(g, a, b)
+                    verdict = access_report(g, a, b).c_verdict
                     ov, dist = distinguishability(g, a, b)
                     assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
                     assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
@@ -243,7 +241,7 @@ class TestDistinguishability:
             g = family("random", n, p=0.5, seed=rng.randrange(10**6))
             a = VertexSet(n, rng.randrange(1, 1 << n))
             b = VertexSet(n, rng.randrange(1 << n))
-            verdict, _ = classify_c(g, a, b)
+            verdict = access_report(g, a, b).c_verdict
             ov, dist = distinguishability(g, a, b)
             assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
             assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
@@ -256,7 +254,7 @@ class TestDistinguishability:
             g = family("random", n, p=0.5, seed=rng.randrange(10**6))
             a = VertexSet(n, rng.randrange(1, 1 << n))
             b = VertexSet(n, rng.randrange(1 << n))
-            verdict, _ = classify_c(g, a, b)
+            verdict = access_report(g, a, b).c_verdict
             ov, dist = distinguishability(g, a, b)
             assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
             assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
@@ -272,7 +270,7 @@ class TestDistinguishability:
                 a = VertexSet(n, rng.randrange(1, 1 << n))
                 for size in range(n + 1):
                     b = vs(n, rng.sample(range(n), size))
-                    verdict, _ = classify_c(g, a, b)
+                    verdict = access_report(g, a, b).c_verdict
                     ov, dist = distinguishability(g, a, b)
                     assert (ov < 1e-10) == (verdict is CVerdict.ACCESSING)
                     assert (dist < 1e-10) == (verdict is CVerdict.BLIND)
