@@ -18,7 +18,7 @@ def _lazy_submodule(name: str):
 
 
 # quantum is the only module that loads NumPy, so integer-only work never
-# runs it; its twelve re-exports resolve through __getattr__.  It is
+# runs it; its seven re-exports resolve through __getattr__.  It is
 # registered before any submodule is imported, so that the module-level
 # `from . import quantum` in protocol and cli binds it without running it.
 quantum = _lazy_submodule("quantum")
@@ -56,18 +56,13 @@ from .shamir import ClassicalShare
 __version__ = "0.1.0"
 
 _QUANTUM_NAMES = (
-    "DensityMatrix",
     "PauliOp",
     "StateVector",
-    "apply_controlled_VC",
-    "apply_isometry_UD",
     "apply_pauli",
     "distinguishability",
     "embed_secret",
     "encode_classical",
     "graph_state",
-    "measure_access_observable",
-    "reduced_density",
 )
 
 

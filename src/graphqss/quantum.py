@@ -2,23 +2,23 @@
 
 States and operators only: the protocol's one-time pad, both ways, and the
 fidelity against the dealt secret are ``protocol``'s.  Of ``protocol`` only
-``privacy_probe`` comes here; the isometry and correction below are the
-tests' dense oracle for ``reconstruct``, which runs by Pauli algebra.
+``privacy_probe`` comes here; ``reconstruct`` runs by Pauli algebra, and the
+tests' dense oracle replays it on ``stabilizer_for`` and ``apply_pauli``.
 
 Conventions used throughout (and by everything downstream):
 
 * qubit i is bit i of the basis index, qubit 0 least significant;
-* an ancilla added by the extraction isometry becomes qubit n (the new
-  highest index, i.e. the top half of the amplitude array);
-* reduced density matrices index their qubits by ascending vertex label.
+* a coalition's kept qubits index their amplitude-matrix columns by
+  ascending vertex label.
 
 This is the package's only module that imports NumPy when it loads; the
 package runs it on first use, so integer-only work never loads NumPy.
 
-Tolerances: 1e-12 for algebraic identities (norms, fixpoints), 1e-10 for
-derived zero tests (overlap, trace distance, purity).  Registers are capped
-at ``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated: this
-caps ``simulate`` and ``privacy_probe``, not ``protocol-run``.
+Tolerances: ``ATOL_NORM`` (1e-9) for the norm of a state and of a secret;
+``ATOL_ZERO_TEST`` (1e-10) is the zero test that ``simulate`` applies to
+the oracle's overlap and trace distance.  Registers are capped at
+``QUBIT_LIMIT`` qubits, checked before any amplitude is allocated: this caps
+``simulate`` and ``privacy_probe``, not ``protocol-run``.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ProtocolStateError, ResourceLimitError
+from .access import _check_a
+from .errors import ResourceLimitError
 from .graphs import Graph, VertexSet, edge_parity, odd_neighborhood
 
-ATOL_ALGEBRA = 1e-12
+ATOL_NORM = 1e-9
 ATOL_ZERO_TEST = 1e-10
 QUBIT_LIMIT = 12
 
@@ -48,37 +49,11 @@ class StateVector:
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude count != 2**n_qubits")
         norm = np.linalg.norm(self.amplitudes)
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        if not abs(norm - 1.0) <= ATOL_NORM:  # NaN fails too
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
 
     def inner(self, other: StateVector) -> complex:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, trace-one matrix over a subset of qubits."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max(initial=0.0) > ATOL_ALGEBRA:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(m) - 1.0) > ATOL_ALGEBRA:
-            raise ValueError("density matrix trace != 1")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 @dataclass(frozen=True)
@@ -127,26 +102,18 @@ def graph_state(g: Graph) -> StateVector:
     return StateVector(n, amps.astype(np.complex128))
 
 
-def _pauli_amplitudes(amps: np.ndarray, p: PauliOp) -> np.ndarray:
-    """``apply_pauli`` on a bare amplitude array, such as one half of a
-    register whose top qubit is an ancilla."""
-    idx = np.arange(len(amps), dtype=np.uint64)
-    src = idx ^ np.uint64(p.x_support.mask)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(p.z_support.mask)) & 1)
-    return p.phase * signs * amps[src]
-
-
 def apply_pauli(s: StateVector, p: PauliOp) -> StateVector:
     """Apply Z on the z-support, then X on the x-support, then the phase."""
     if p.x_support.universe != s.n_qubits:
         raise ValueError("operator support does not match qubit count")
-    return StateVector(s.n_qubits, _pauli_amplitudes(s.amplitudes, p))
+    src = np.arange(1 << s.n_qubits, dtype=np.uint64) ^ np.uint64(p.x_support.mask)
+    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(p.z_support.mask)) & 1)
+    return StateVector(s.n_qubits, p.phase * signs * s.amplitudes[src])
 
 
 def _encoded_pair(g: Graph, a: VertexSet) -> tuple[StateVector, StateVector]:
     """The two classical encodings: the graph state, and it with Z on a."""
-    if not a:
-        raise ValueError("encoding set A must be non-empty")
+    _check_a(g, a)
     g0 = graph_state(g)
     return g0, apply_pauli(g0, PauliOp(VertexSet.empty(g.n), a))
 
@@ -154,7 +121,7 @@ def _encoded_pair(g: Graph, a: VertexSet) -> tuple[StateVector, StateVector]:
 def _superpose(pair: tuple[StateVector, StateVector], alpha: complex, beta: complex) -> StateVector:
     """alpha times the first encoding plus beta times the second."""
     # a product past the float range is inf and fails, where abs or ** 2 would raise
-    if not abs(sum(x.real * x.real + x.imag * x.imag for x in (alpha, beta)) - 1.0) <= 1e-9:
+    if not abs(sum(x.real * x.real + x.imag * x.imag for x in (alpha, beta)) - 1.0) <= ATOL_NORM:
         raise ValueError("secret amplitudes are not normalized")
     g0, g1 = pair
     return StateVector(g0.n_qubits, alpha * g0.amplitudes + beta * g1.amplitudes)
@@ -189,15 +156,6 @@ def _amplitude_matrix(s: StateVector, b: VertexSet) -> np.ndarray:
     return tensor.reshape(1 << len(env), 1 << len(keep))
 
 
-def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
-    """Partial trace onto the qubits in b, without forming the full projector.
-
-    Bit l of the reduced index is the l-th smallest member of b.
-    """
-    m = _amplitude_matrix(s, b)
-    return DensityMatrix(m.T @ m.conj())
-
-
 def trace_norm(views: Sequence[tuple[float, StateVector]], b: VertexSet) -> float:
     """Trace norm of sum_i w_i tr_{b̄}|psi_i><psi_i| over (w_i, psi_i) views.
 
@@ -229,61 +187,6 @@ def distinguishability(g: Graph, a: VertexSet, b: VertexSet) -> tuple[float, flo
     else:
         ov = np.vdot(m1.T @ m1.conj(), m0.T @ m0.conj()).real
     return float(ov), trace_norm([(1.0, g0), (-1.0, g1)], b)
-
-
-def measure_access_observable(s: StateVector, g: Graph, a: VertexSet, d: VertexSet) -> int:
-    """Deterministic readout of the encoded classical bit via d's stabilizer.
-
-    Outcome sigma corresponds to eigenvalue (-1)**sigma; requires d to have
-    odd overlap with a, which makes the two encodings opposite eigenstates.
-    """
-    if len(d & a) % 2 != 1:
-        raise ValueError("witness must have odd overlap with the encoding set")
-    op = stabilizer_for(g, d)
-    flipped = apply_pauli(s, op)
-    if np.allclose(flipped.amplitudes, s.amplitudes, atol=ATOL_ZERO_TEST):
-        return 0
-    if np.allclose(flipped.amplitudes, -s.amplitudes, atol=ATOL_ZERO_TEST):
-        return 1
-    raise ProtocolStateError("state is not an eigenstate of the access observable")
-
-
-def apply_isometry_UD(s: StateVector, g: Graph, d: VertexSet) -> StateVector:
-    """Extraction isometry: ancilla records which stabilizer eigenspace holds.
-
-    Splits the register into the +1/-1 eigenspaces of d's stabilizer and
-    tags them with a fresh ancilla (appended as the highest-index qubit).
-    The +1 branch of a protocol state is proportional to the bare graph
-    state; anything else is rejected.
-    """
-    if s.n_qubits != g.n:
-        raise ValueError("state size does not match graph order")
-    base = graph_state(g).amplitudes
-    flipped = apply_pauli(s, stabilizer_for(g, d))
-    plus = (s.amplitudes + flipped.amplitudes) / 2.0
-    minus = (s.amplitudes - flipped.amplitudes) / 2.0
-    residual = plus - (base.conj() @ plus) * base
-    if not np.linalg.norm(residual) <= ATOL_ZERO_TEST:
-        raise ProtocolStateError("register is not a superposition of encoded graph states")
-    return StateVector(g.n + 1, np.concatenate([plus, minus]))
-
-
-def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:
-    """Ancilla-controlled correction that folds the flipped branch back.
-
-    Applies phase * X on c * Z on Odd(c) xor a to the half of the register
-    where the ancilla (highest qubit) is 1.
-    """
-    n = g.n
-    if s.n_qubits != n + 1:
-        raise ValueError("expected a register with one ancilla qubit on top")
-    # c's stabilizer times Z on a: the Z supports merge by symmetric
-    # difference and the phase stays the stabilizer's
-    stab = stabilizer_for(g, c)
-    op = PauliOp(c, stab.z_support ^ a, stab.phase)
-    half = 1 << n
-    upper = _pauli_amplitudes(s.amplitudes[half:], op)
-    return StateVector(n + 1, np.concatenate([s.amplitudes[:half], upper]))
 
 
 def dump_state(s: StateVector) -> str:

@@ -3,7 +3,10 @@
 Everything here works by direct neighborhood enumeration over all subsets,
 never through the rank-based solver paths it is used to check, or by dense
 linear algebra on full reduced density matrices, never through the low-rank
-trace-norm kernel.  The one exception is the threshold reference, which
+trace-norm kernel.  The partial trace gathers each basis index's bits into
+a row (the traced-out qubits) and a column (the kept ones), never through
+the reshape and transpose of ``quantum._amplitude_matrix`` that the
+trace-norm kernel runs.  The one exception is the threshold reference, which
 decides each coalition with the span test ``access._q_accessing_masks``: it
 checks the code distance, not the span test, which the witness oracles
 check.  The exhaustive search reference scans every labelled graph, never
@@ -14,7 +17,8 @@ size, the min-k reference builds the whole counting sum, never bracketing
 it, the GF(256) reference multiplies by shift-and-add, never through log
 tables, the graph-state reference flips one parity bit per edge, never
 doubling over vertices, and the protocol reference reconstructs on 2^(n+1)
-dense amplitudes, never by Pauli algebra on the branches.
+dense amplitudes, with U_D and V_C built from the public ``stabilizer_for``
+and ``apply_pauli``, never by Pauli algebra on the branches.
 """
 
 from __future__ import annotations
@@ -33,13 +37,11 @@ from graphqss.graphs import Graph, VertexSet, odd_neighborhood
 from graphqss.protocol import RecoveredSecret, Transcript
 from graphqss.quantum import (
     ATOL_ZERO_TEST,
-    DensityMatrix,
     PauliOp,
     StateVector,
-    apply_controlled_VC,
-    apply_isometry_UD,
     apply_pauli,
     graph_state,
+    stabilizer_for,
 )
 
 
@@ -157,6 +159,35 @@ def edge_parity_amplitudes(g: Graph) -> np.ndarray:
     return amps.astype(np.complex128)
 
 
+def apply_isometry_UD(s: StateVector, g: Graph, d: VertexSet) -> StateVector:
+    """Extraction isometry: the register split into the +1/-1 eigenspaces of
+    d's stabilizer, (s + K_D s)/2 and (s - K_D s)/2, tagged by a fresh
+    ancilla on top.  The +1 branch of a protocol state is proportional to
+    the bare graph state; anything else is rejected."""
+    if s.n_qubits != g.n:
+        raise ValueError("state size does not match graph order")
+    base = graph_state(g).amplitudes
+    flipped = apply_pauli(s, stabilizer_for(g, d)).amplitudes
+    plus, minus = (s.amplitudes + flipped) / 2.0, (s.amplitudes - flipped) / 2.0
+    residual = plus - (base.conj() @ plus) * base
+    if not np.linalg.norm(residual) <= ATOL_ZERO_TEST:
+        raise ProtocolStateError("register is not a superposition of encoded graph states")
+    return StateVector(g.n + 1, np.concatenate([plus, minus]))
+
+
+def apply_controlled_VC(s: StateVector, g: Graph, a: VertexSet, c: VertexSet) -> StateVector:
+    """Ancilla-controlled correction X^C Z^(Odd(C) ^ A), signed as c's
+    stabilizer: applied to the whole register, of which the lower half (the
+    ancilla at 0) is then put back."""
+    n = g.n
+    if s.n_qubits != n + 1:
+        raise ValueError("expected a register with one ancilla qubit on top")
+    stab = stabilizer_for(g, c)
+    op = PauliOp(VertexSet(n + 1, c.mask), VertexSet(n + 1, stab.z_support.mask ^ a.mask), stab.phase)
+    flipped = apply_pauli(s, op).amplitudes
+    return StateVector(n + 1, np.concatenate([s.amplitudes[: 1 << n], flipped[1 << n :]]))
+
+
 def ancilla_readout(s: StateVector, base: np.ndarray) -> tuple[complex, complex]:
     """The ancilla amplitudes (amp0, amp1) of a corrected register, which
     must be base (g's graph state) times amp0|0> + amp1|1> on the ancilla."""
@@ -202,6 +233,40 @@ def dense_reconstruct(t: Transcript, coalition) -> tuple[RecoveredSecret, list[s
         f"ancilla at player {players[0]}: fidelity={fidelity:.12f}",
     ]
     return RecoveredSecret(amp0, amp1, fidelity), log
+
+
+class DensityMatrix:
+    """Hermitian, trace-one matrix over a subset of qubits."""
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("density matrix must be square")
+        if np.abs(matrix - matrix.conj().T).max(initial=0.0) > 1e-12:
+            raise ValueError("density matrix not Hermitian")
+        if abs(np.trace(matrix) - 1.0) > 1e-12:
+            raise ValueError("density matrix trace != 1")
+        self.matrix = matrix
+
+    def purity(self) -> float:
+        return float(np.real(np.trace(self.matrix @ self.matrix)))
+
+    def min_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh(self.matrix)[0])
+
+
+def reduced_density(s: StateVector, b: VertexSet) -> DensityMatrix:
+    """Partial trace onto the qubits in b.  Basis index x puts its amplitude
+    at row (x's bits outside b) and column (x's bits in b) of M, bit l of
+    each the l-th smallest member of its set; then rho = M^T conj(M)."""
+    if b.universe != s.n_qubits:
+        raise ValueError("vertex set universe != qubit count")
+    idx = np.arange(1 << s.n_qubits)
+    keep, env = b.members(), b.complement().members()
+    rows = sum(((idx >> q) & 1) << l for l, q in enumerate(env))
+    cols = sum(((idx >> q) & 1) << l for l, q in enumerate(keep))
+    m = np.zeros((1 << len(env), 1 << len(keep)), dtype=np.complex128)
+    m[rows, cols] = s.amplitudes
+    return DensityMatrix(m.T @ m.conj())
 
 
 def overlap(rho0: DensityMatrix, rho1: DensityMatrix) -> float:

@@ -33,13 +33,14 @@ from graphqss.graphs import (
     serialize_graph,
 )
 from graphqss.protocol import ProtocolConfig, deal, privacy_probe, reconstruct
-from graphqss.quantum import encode_classical, reduced_density
+from graphqss.quantum import encode_classical
 from helpers import (
     all_graphs,
     brute_accessing_witness,
     brute_blind_witness,
     is_isomorphic,
     overlap,
+    reduced_density,
     trace_distance,
 )
 

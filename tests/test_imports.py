@@ -46,15 +46,14 @@ def test_no_unused_imports():
 
 
 PUBLIC_API = {
-    "AccessReport", "BoundReport", "CVerdict", "ClassicalShare", "DensityMatrix", "Graph", "PauliOp",
+    "AccessReport", "BoundReport", "CVerdict", "ClassicalShare", "Graph", "PauliOp",
     "ProtocolConfig", "QVerdict", "RecoveredSecret", "StateVector", "ThresholdReport", "Transcript",
-    "VertexSet", "access", "access_report", "apply_controlled_VC", "apply_isometry_UD",
-    "apply_pauli", "bounds", "c5_power", "complement", "counting_inequality", "deal",
-    "delta_complement", "distinguishability", "edge_mask_graph", "embed_secret", "encode_classical",
-    "errors", "exhaustive_graph_search", "family", "gf2", "graph_state", "graphs", "lexicographic_product",
-    "measure_access_observable", "min_feasible_k", "odd_neighborhood", "parse_graph", "privacy_probe",
-    "product_threshold_bound", "protocol", "pure_qss_feasibility", "q_accessing",
-    "qstar_threshold", "quantum", "reconstruct", "reconstruction_witnesses", "reduced_density",
+    "VertexSet", "access", "access_report", "apply_pauli", "bounds", "c5_power", "complement",
+    "counting_inequality", "deal", "delta_complement", "distinguishability", "edge_mask_graph",
+    "embed_secret", "encode_classical", "errors", "exhaustive_graph_search", "family", "gf2",
+    "graph_state", "graphs", "lexicographic_product", "min_feasible_k", "odd_neighborhood",
+    "parse_graph", "privacy_probe", "product_threshold_bound", "protocol", "pure_qss_feasibility",
+    "q_accessing", "qstar_threshold", "quantum", "reconstruct", "reconstruction_witnesses",
     "serialize_graph", "shamir", "small_witness",
 }
 

@@ -17,14 +17,8 @@ from graphqss.protocol import (
     reconstruct,
     serialize_transcript,
 )
-from graphqss.quantum import (
-    DensityMatrix,
-    embed_secret,
-    encode_classical,
-    reduced_density,
-    trace_norm,
-)
-from helpers import dense_reconstruct, trace_distance
+from graphqss.quantum import embed_secret, encode_classical, trace_norm
+from helpers import DensityMatrix, dense_reconstruct, reduced_density, trace_distance
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)

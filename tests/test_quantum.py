@@ -9,23 +9,28 @@ from graphqss.access import CVerdict, QVerdict, access_report
 from graphqss.errors import ProtocolStateError, ResourceLimitError
 from graphqss.graphs import VertexSet, family
 from graphqss.quantum import (
-    DensityMatrix,
     PauliOp,
     StateVector,
-    apply_controlled_VC,
-    apply_isometry_UD,
     apply_pauli,
     distinguishability,
     dump_state,
     embed_secret,
     encode_classical,
     graph_state,
-    measure_access_observable,
-    reduced_density,
     stabilizer_for,
     trace_norm,
 )
-from helpers import all_graphs, edge_parity_amplitudes, induced_edge_count, overlap, trace_distance
+from helpers import (
+    DensityMatrix,
+    all_graphs,
+    apply_controlled_VC,
+    apply_isometry_UD,
+    edge_parity_amplitudes,
+    induced_edge_count,
+    overlap,
+    reduced_density,
+    trace_distance,
+)
 
 C5 = family("cycle", 5)
 A5 = VertexSet.full(5)
@@ -115,6 +120,26 @@ class TestApplyPauli:
             g0, g1 = encode_classical(g, a, 0), encode_classical(g, a, 1)
             assert abs(g0.inner(g1)) < 1e-12
 
+    def test_odd_overlap_encodings_are_opposite_eigenstates(self):
+        # K_D Z_A = (-1)^|D & A| Z_A K_D: with |D & A| = 1, K_D reads the bit
+        k_d = stabilizer_for(C5, vs(5, [1]))
+        g0, g1 = encode_classical(C5, A5, 0), encode_classical(C5, A5, 1)
+        assert np.allclose(apply_pauli(g0, k_d).amplitudes, g0.amplitudes, atol=1e-12)
+        assert np.allclose(apply_pauli(g1, k_d).amplitudes, -g1.amplitudes, atol=1e-12)
+
+    def test_even_overlap_fixes_both_encodings(self):
+        k_d = stabilizer_for(C5, vs(5, [1, 2]))
+        for s in (encode_classical(C5, A5, 0), encode_classical(C5, A5, 1)):
+            assert np.allclose(apply_pauli(s, k_d).amplitudes, s.amplitudes, atol=1e-12)
+
+    def test_superposition_is_not_an_eigenstate(self):
+        s = embed_secret(C5, A5, 0.6, 0.8)
+        flipped = apply_pauli(s, stabilizer_for(C5, vs(5, [1]))).amplitudes
+        assert not np.allclose(flipped, s.amplitudes, atol=1e-10)
+        assert not np.allclose(flipped, -s.amplitudes, atol=1e-10)
+        expect = embed_secret(C5, A5, 0.6, -0.8).amplitudes
+        assert np.allclose(flipped, expect, atol=1e-12)
+
 
 class TestEncodeEmbed:
     def test_zero_bit_is_plain_graph_state(self):
@@ -146,6 +171,17 @@ class TestEncodeEmbed:
             encode_classical(C5, VertexSet.empty(5), 1)
         with pytest.raises(ValueError):
             embed_secret(C5, VertexSet.empty(5), 1, 0)
+
+    def test_wrong_universe_encoding_set_refused_as_in_access(self):
+        # the same check and message as access and ProtocolConfig
+        for a in (VertexSet.full(4), VertexSet.full(6)):
+            for call in (
+                lambda: encode_classical(C5, a, 0),
+                lambda: embed_secret(C5, a, 1, 0),
+                lambda: distinguishability(C5, a, vs(5, [0, 1])),
+            ):
+                with pytest.raises(ValueError, match="^vertex set universe != graph order$"):
+                    call()
 
     def test_rejects_unnormalized_secret(self):
         with pytest.raises(ValueError):
@@ -184,6 +220,13 @@ class TestReducedDensity:
             DensityMatrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(2, dtype=complex))  # trace 2
+
+    def test_column_bit_l_is_lth_smallest_member(self):
+        # |x> with x = 0b0011 kept on {0, 2, 3}: of the kept qubits only 0,
+        # the smallest member, is set
+        s = StateVector(4, np.eye(16, dtype=complex)[0b0011])
+        rho = reduced_density(s, vs(4, [0, 2, 3]))
+        assert rho.matrix[0b001, 0b001] == 1 and np.count_nonzero(rho.matrix) == 1
 
     def test_positive_semidefinite(self):
         rho = reduced_density(graph_state(C5), vs(5, [0, 2, 3]))
@@ -333,21 +376,6 @@ class TestTraceNorm:
             # two orthogonal pure states
             assert trace_norm(mixed, VertexSet.empty(n)) == pytest.approx(0.5, abs=1e-12)
             assert trace_norm(pair, VertexSet.full(n)) == pytest.approx(2.0, abs=1e-12)
-
-
-class TestMeasurement:
-    def test_reads_both_encodings(self):
-        d = vs(5, [1])
-        assert measure_access_observable(encode_classical(C5, A5, 0), C5, A5, d) == 0
-        assert measure_access_observable(encode_classical(C5, A5, 1), C5, A5, d) == 1
-
-    def test_rejects_even_overlap(self):
-        with pytest.raises(ValueError):
-            measure_access_observable(graph_state(C5), C5, A5, vs(5, [1, 2]))
-
-    def test_rejects_non_eigenstate(self):
-        with pytest.raises(ProtocolStateError):
-            measure_access_observable(embed_secret(C5, A5, 0.6, 0.8), C5, A5, vs(5, [1]))
 
 
 class TestIsometryAndCorrection:
