@@ -34,8 +34,8 @@ from .graphs import Graph, VertexSet, _graph6_many, bits, odd_mask
 ENUMERATION_LIMIT = 26
 # small_witness walks all 2^dim kernel vectors: 0.18 s at dim 18, 9.2 s at 24 (2-core host)
 KERNEL_DIM_LIMIT = 24
-# n = 7 sweeps in about 0.2 s (2-core host), but has 125,670 labelled attainers to
-# list; checked before any neighbour array is built
+# n = 7 sweeps in about 0.1 s (2-core host), but has 125,670 labelled attainers to
+# list; checked before the neighbour array is built
 SEARCH_N_LIMIT = 6
 
 
@@ -382,19 +382,28 @@ def exhaustive_graph_search(n: int) -> SearchReport:
     reproducible.  Each k* is n + 1 - d, with d the smallest support in L
     (see ``_distance`` and ``qstar_threshold``), found for every mask at once
     by whole-array NumPy work in the narrowest unsigned type that holds a
-    vertex set.  One array per vertex holds that vertex's neighbour mask in
-    every graph; from one entry, it doubles once per edge bit in ascending
-    order, the upper half adding the edge's other endpoint to the copy.  d
-    starts at n (Z_V itself, D empty), and a Gray-code walk over the nonempty
-    sets D carries Odd(D) by one XOR per step.  With A = V the support
-    D | (Odd(D) ^ V) has n + |D| - |D | Odd(D)| vertices, so one popcount of
-    D | Odd(D) per step scores both candidates: d falls to that count when
-    |D| is odd, and to n + |D| minus it always.
+    vertex set.  Row v of one (n, 2^m) array holds vertex v's neighbour mask
+    in every graph; from one column, it doubles once per edge bit in
+    ascending order, the upper half adding the edge's other endpoint.
+
+    d starts at n (Z_V itself, D empty), and the walk visits the nonempty
+    sets D by size, one level of C(n, s) sets at a time: Odd(D) is its
+    parent's Odd (D less its largest vertex, one level down) XOR that
+    vertex's row.  With A = V the support D | (Odd(D) ^ V) has
+    n + |D| - |D | Odd(D)| vertices, so one popcount of D | Odd(D) scores
+    both candidates: d falls to that count when |D| is odd, and to n + |D|
+    minus it always; a level is scored at once by the least and greatest
+    count over its sets.  Every support contains its D, so a set of s
+    vertices scores at least s: before level s the walk keeps only the
+    graphs whose d is still above s, as ``_distance`` does, and stops when
+    none is left.
+    At n = 6 that is the 6 single vertices over all 32,768 graphs and the 15
+    pairs over 1,760 of them.
 
     The report is read off the same arrays: ``k_stars`` is n + 1 - d as
     uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
     ``attainers_graph6`` is written by ``graphs._graph6_many`` from the
-    neighbour arrays at the masks of the smallest k*, in ascending mask order.
+    neighbour rows at the masks of the smallest k*, in ascending mask order.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
     array is built.
@@ -405,27 +414,33 @@ def exhaustive_graph_search(n: int) -> SearchReport:
         raise ValueError("n must be >= 1")
     import numpy as np
 
-    adj = [np.zeros(1, dtype=np.min_scalar_type((1 << n) - 1)) for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):  # edge bits in ascending order
-        ends = {i: 1 << j, j: 1 << i}  # the upper half has edge (i, j); other vertices copy
-        adj = [np.concatenate((a, a | ends.get(v, 0))) for v, a in enumerate(adj)]
-    best = np.full(len(adj[0]), n, dtype=np.uint8)
-    odd = np.zeros_like(adj[0])
-    union = np.empty_like(odd)
-    weight = np.empty_like(best)
-    d = 0
-    for step in range(1, 1 << n):
-        v = (step & -step).bit_length() - 1
-        d ^= 1 << v
-        odd ^= adj[v]
-        np.bitwise_or(odd, d, out=union)
-        np.bitwise_count(union, out=weight)
-        size_d = d.bit_count()
-        if size_d % 2:
-            np.minimum(best, weight, out=best)
-        np.subtract(n + size_d, weight, out=weight)
-        np.minimum(best, weight, out=best)
+    m = n * (n - 1) // 2
+    adj = np.zeros((n, 1 << m), dtype=np.min_scalar_type((1 << n) - 1))
+    for e, (i, j) in enumerate(itertools.combinations(range(n), 2)):  # edge bits, ascending
+        adj[:, 1 << e : 2 << e] = adj[:, : 1 << e]  # the upper half has edge (i, j)
+        adj[i, 1 << e : 2 << e] |= 1 << j
+        adj[j, 1 << e : 2 << e] |= 1 << i
+    best = np.full(1 << m, n, dtype=np.uint8)
+    alive, rows, sub = slice(None), adj, best  # d = n > 1: level 1 scores every graph
+    odd, index = np.zeros((1, 1), dtype=adj.dtype), {0: 0}  # Odd of D empty, in every graph
+    for s in range(1, n):
+        level = [sum(1 << v for v in team) for team in itertools.combinations(range(n), s)]
+        top = [d.bit_length() - 1 for d in level]
+        odd = odd[[index[d ^ 1 << v] for d, v in zip(level, top)]] ^ rows[top]
+        weight = odd | np.array(level, dtype=adj.dtype)[:, None]
+        np.bitwise_count(weight, out=weight)
+        if s % 2:
+            np.minimum(sub, weight.min(axis=0), out=sub)
+        np.minimum(sub, n + s - weight.max(axis=0), out=sub)
+        del weight  # as large as the level's Odd arrays; freed before the next level's
+        best[alive] = sub
+        keep = np.flatnonzero(sub > s + 1)  # the graphs level s + 1 can still improve
+        if not len(keep):
+            break
+        alive = np.flatnonzero(best > s + 1)  # the same graphs, as masks
+        rows, sub, odd = rows[:, keep], sub[keep], odd[:, keep]
+        index = {d: k for k, d in enumerate(level)}
     k_stars = np.subtract(n + 1, best, out=best)
     histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
     at = np.flatnonzero(k_stars == min(histogram))
-    return SearchReport(k_stars, histogram, _graph6_many(n, [a[at] for a in adj]))
+    return SearchReport(k_stars, histogram, _graph6_many(n, adj[:, at]))

@@ -10,15 +10,18 @@ trace-norm kernel runs.  The one exception is the threshold reference, which
 decides each coalition with the span test ``access._q_accessing_masks``: it
 checks the code distance, not the span test, which the witness oracles
 check.  The exhaustive search reference scans every labelled graph, never
-relying on relabelling symmetry, the threshold reference scans every size's
-coalitions in lexicographic order, never through the code distance, the
-distance reference scores all 2^n sets D, never pruning by
-size, the min-k reference builds the whole counting sum, never bracketing
-it, the GF(256) reference multiplies by shift-and-add, never through log
-tables, the graph-state reference flips one parity bit per edge, never
-doubling over vertices, and the protocol reference reconstructs on 2^(n+1)
-dense amplitudes, with U_D and V_C built from the public ``stabilizer_for``
-and ``apply_pauli``, never by Pauli algebra on the branches.
+relying on relabelling symmetry, the array search reference scores all
+2^n - 1 sets D in every graph, never dropping a settled graph, on neighbour
+arrays read bit by bit off the mask table, never doubled over edges, the
+threshold reference scans every size's coalitions in lexicographic order,
+never through the code distance, the distance reference scores all 2^n sets
+D, never pruning by size, the min-k reference builds the whole counting
+sum, never bracketing it, the GF(256) reference multiplies by
+shift-and-add, never through log tables, the graph-state reference flips
+one parity bit per edge, never doubling over vertices, and the protocol
+reference reconstructs on 2^(n+1) dense amplitudes, with U_D and V_C built
+from the public ``stabilizer_for`` and ``apply_pauli``, never by Pauli
+algebra on the branches.
 """
 
 from __future__ import annotations
@@ -136,6 +139,33 @@ def labelled_graph_search(n: int) -> list[int]:
     per graph, in edge-mask order."""
     a = VertexSet.full(n)
     return [lex_threshold(g, a).k_star for g in all_graphs(n)]
+
+
+def gray_walk_k_stars(n: int) -> np.ndarray:
+    """k* with A = V of every labelled graph on n vertices as a uint8 array
+    in edge-mask order, by a Gray-code walk over all 2^n - 1 nonempty sets D
+    in every graph.  Vertex v's neighbour mask in each graph is read off the
+    mask table by extracting the bits of v's edges; each step flips one
+    vertex of D, carries Odd(D) by one XOR and scores both supports."""
+    pairs = list(itertools.combinations(range(n), 2))
+    masks = np.arange(1 << len(pairs))
+    adj = [np.zeros(len(masks), dtype=np.uint8) for _ in range(n)]
+    for bit, (i, j) in enumerate(pairs):
+        edge = ((masks >> bit) & 1).astype(np.uint8)
+        adj[i] |= edge << j
+        adj[j] |= edge << i
+    best = np.full(len(masks), n, dtype=np.uint8)
+    odd = np.zeros(len(masks), dtype=np.uint8)
+    d = 0
+    for step in range(1, 1 << n):
+        v = (step & -step).bit_length() - 1
+        d ^= 1 << v
+        odd ^= adj[v]
+        weight = np.bitwise_count(odd | d)
+        if d.bit_count() % 2:
+            best = np.minimum(best, weight)
+        best = np.minimum(best, n + d.bit_count() - weight)
+    return (n + 1 - best).astype(np.uint8)
 
 
 def induced_edge_count(g: Graph, support: int) -> int:

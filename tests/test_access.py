@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from graphqss import access
@@ -34,6 +35,7 @@ from helpers import (
     brute_accessing_witness,
     brute_blind_witness,
     brute_distance,
+    gray_walk_k_stars,
     labelled_graph_search,
     lex_threshold,
 )
@@ -534,13 +536,13 @@ class TestExhaustiveSearch:
         assert exhaustive_graph_search(2).k_stars.min() == 2
 
     def test_resource_cap(self, monkeypatch):
-        # refused before any array is built: at n = 12 each neighbour array
-        # would double to 2^66 entries
+        # refused before any array is built: at n = 12 the neighbour array
+        # would have 2^66 columns
         def fail(*args, **kwargs):
             raise AssertionError("allocated before the cap was checked")
 
-        monkeypatch.setattr("numpy.zeros", fail)
-        monkeypatch.setattr("numpy.concatenate", fail)
+        for allocator in ("zeros", "full", "empty"):
+            monkeypatch.setattr(f"numpy.{allocator}", fail)
         for n in (7, 8, 12):
             with pytest.raises(ResourceLimitError, match=f"n={n} exceeds exhaustive search limit 6"):
                 exhaustive_graph_search(n)
@@ -592,9 +594,18 @@ class TestExhaustiveSearch:
             serialize_graph(edge_mask_graph(n, m), "graph6") for m, k in enumerate(expected) if k == best
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_gray_walk(self, monkeypatch, n):
+        # the level walk drops each graph once no larger D can lower its d;
+        # the oracle scores all 2^n - 1 sets D in every graph, n = 7 past the cap
+        monkeypatch.setattr(access, "SEARCH_N_LIMIT", 7)
+        k_stars = exhaustive_graph_search(n).k_stars
+        assert k_stars.dtype == "uint8"
+        assert np.array_equal(k_stars, gray_walk_k_stars(n))
+
     def test_n7_sweep_past_the_cap(self, monkeypatch):
-        # the 2^21-entry arrays past the cap; no oracle sweeps 2^21 graphs in
-        # test time, so the report's values are pinned
+        # the 2^21 graphs past the cap: test_matches_gray_walk checks every
+        # k*; the histogram and the attainers' ends are pinned as CI pins them
         monkeypatch.setattr(access, "SEARCH_N_LIMIT", 7)
         report = exhaustive_graph_search(7)
         assert report.k_stars.dtype == "uint8" and len(report.k_stars) == 1 << 21
