@@ -17,10 +17,10 @@ def _lazy_submodule(name: str):
     return module
 
 
-# quantum is the only module that loads NumPy, so integer-only work never
-# runs it; its seven re-exports resolve through __getattr__.  It is
-# registered before any submodule is imported, so that the module-level
-# `from . import quantum` in protocol and cli binds it without running it.
+# quantum imports NumPy when it loads (access only inside the level walk behind
+# k*), so integer-only work never runs it; its seven re-exports resolve through
+# __getattr__.  It is registered before any submodule is imported, so that the
+# module-level `from . import quantum` in protocol and cli binds it unrun.
 quantum = _lazy_submodule("quantum")
 
 from .access import (

@@ -14,9 +14,9 @@ verdict is exact GF(2) arithmetic on bitmasks: a public call checks its
 sets once (``_masks``), and from there coalitions, witness candidates and
 supports stay ints, with ``graphs.odd_mask`` for Odd(.); a VertexSet is
 built only for a value the call returns.  A threshold comes
-from the smallest support of a stabilizer-group coset element; the
-exhaustive search finds it for every labelled graph at once with NumPy
-integer arrays.
+from the smallest support of a stabilizer-group coset element, which one
+NumPy level walk (``_min_support``) finds for one graph or for every
+labelled graph at once.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
 from .graphs import Graph, VertexSet, _graph6_many, bits, odd_mask
 
+# the level walk behind k* on C5^2 (n = 25, d = 9): 5.5 ms, 13.0 MB tracemalloc peak; on C5^2
+# plus a vertex joined to a seeded half of it (n = 26, d = 8): 4.0 ms, 7.9 MB (2-core host)
 ENUMERATION_LIMIT = 26
 # small_witness walks all 2^dim kernel vectors: 0.18 s at dim 18, 9.2 s at 24 (2-core host)
 KERNEL_DIM_LIMIT = 24
@@ -210,37 +212,67 @@ def reconstruction_witnesses(g: Graph, a: VertexSet, b: VertexSet) -> tuple[Vert
 # -- coalition scans and thresholds ---------------------------------------------
 
 
-def _distance(adj: tuple[int, ...], mask_a: int) -> int:
-    """Smallest support d of an element of L = {K_D : |D & A| odd} u Z_A.S.
+def _min_support(rows, mask_a: int):
+    """Smallest support d of an element of L = {K_D : |D & A| odd} u Z_A.S
+    in each of G graphs, as a uint8 array; row v of ``rows``, an (n, G)
+    array-like, holds vertex v's neighbour mask in each graph.
 
     K_D = X_D Z_Odd(D) has support D u Odd(D), and Z_A.K_D has support
-    D u (Odd(D) ^ A).  A depth-first walk over sets D in increasing vertex
-    order carries Odd(D) by one XOR per step and scores both supports.  It
-    starts from best = |A| (Z_A itself, D empty); every support contains its
-    D, so a set of best or more vertices cannot improve on best, and the walk
-    extends D only while |D| + 1 < best.  Exact, and it visits the sets D of
-    fewer than d vertices rather than all 2^n.
+    D u (Odd(D) ^ A).  d starts at |A| (Z_A itself, D empty), and the walk
+    scores the nonempty sets D by size, one level of C(n, s) sets at a time
+    in order of top vertex: the s-sets of top vertex v are the first
+    C(v, s - 1) sets of the level before with v added, and their Odd(D)
+    those sets' Odd XOR row v.  With A = V, |D u (Odd(D) ^ V)| is
+    n + |D| - |D u Odd(D)|, so one popcount scores both supports: d falls to
+    it when |D| is odd and to n + |D| minus it always, and a level is scored
+    by its least and greatest count; otherwise each support takes its own
+    popcount.  Every support contains its D, so level s runs only over the
+    graphs whose d is still above s, and the walk stops when none is left.
     """
-    n = len(adj)
-    best = mask_a.bit_count()
-    stack = [(0, 0, 0, 0)]  # D, Odd(D), |D & A| mod 2, first vertex to add
-    while stack:
-        d, odd, parity, start = stack.pop()
-        size = d.bit_count() + 1  # of every D this entry extends to
-        if size >= best:
-            continue
-        for v in range(start, n):
-            dv = d | (1 << v)
-            ov = odd ^ adj[v]
-            pv = parity ^ (mask_a >> v) & 1
-            w = (dv | (ov ^ mask_a)).bit_count()
-            if pv:
-                w = min(w, (dv | ov).bit_count())
-            if w < best:
-                best = w
-            if size + 1 < best:
-                stack.append((dv, ov, pv, v + 1))
+    import numpy as np
+
+    n = len(rows)
+    rows = np.asarray(rows, dtype=np.min_scalar_type((1 << n) - 1))
+    best = np.full(rows.shape[1], mask_a.bit_count(), dtype=np.uint8)
+    cols, sub = slice(None), best  # the graphs still open: columns of best, and their d
+    sets, odd = (1 << np.arange(n)).astype(rows.dtype), rows  # level 1: the single vertices
+    for s in range(1, n):
+        if mask_a == (1 << n) - 1:
+            weight = odd | sets[:, None]
+            np.bitwise_count(weight, out=weight)
+            if s % 2:
+                np.minimum(sub, weight.min(axis=0), out=sub)
+            np.minimum(sub, n + s - weight.max(axis=0), out=sub)
+        else:
+            weight = (odd ^ mask_a) | sets[:, None]
+            np.bitwise_count(weight, out=weight)
+            np.minimum(sub, weight.min(axis=0), out=sub)
+            hit = np.bitwise_count(sets & mask_a) & 1 == 1  # the D with |D & A| odd
+            if hit.any():
+                weight = odd[hit] | sets[hit, None]
+                np.bitwise_count(weight, out=weight)
+                np.minimum(sub, weight.min(axis=0), out=sub)
+        del weight  # as large as the level's Odd arrays; freed before the next level's
+        best[cols] = sub
+        keep = np.flatnonzero(sub > s + 1)  # the graphs level s + 1 can still improve; d <= |A|
+        if not len(keep):
+            break
+        if len(keep) < len(sub):
+            cols = np.flatnonzero(best > s + 1)  # the same graphs, as columns of best
+            rows, sub, odd = rows[:, keep], sub[keep], odd[:, keep]
+        parents, parent_odd = sets, odd
+        sets, odd = np.empty(comb(n, s + 1), rows.dtype), np.empty((comb(n, s + 1), len(sub)), rows.dtype)
+        for v in range(s, n):  # top vertex v: the first C(v, s) parents, after C(v, s + 1) children
+            at, k = comb(v, s + 1), comb(v, s)
+            np.bitwise_or(parents[:k], 1 << v, out=sets[at : at + k])
+            np.bitwise_xor(parent_odd[:k], rows[v], out=odd[at : at + k])
+        del parents, parent_odd
     return best
+
+
+def _distance(adj: tuple[int, ...], mask_a: int) -> int:
+    """d of one graph (see ``_min_support``): its neighbour masks as one column."""
+    return int(_min_support([(row,) for row in adj], mask_a)[0])
 
 
 def _k_star(g: Graph, a: VertexSet) -> int:
@@ -259,12 +291,12 @@ def qstar_threshold(
     """Smallest k such that every size-k coalition is quantum-accessing.
 
     A coalition B fails exactly when its complement holds the support of an
-    element of L (see ``_distance``): B is accessing iff some K_D with
+    element of L (see ``_min_support``): B is accessing iff some K_D with
     |D & A| odd lies inside B, and blind iff some Z_A.K_C lies outside it.
     So every k-set passes iff n - k < d, the smallest support in L, and
-    k* = n + 1 - d.  The walk behind d extends a set D only while it has
-    fewer vertices than the best support found, so it never reaches the
-    C(n, k*) coalitions of the passing size.
+    k* = n + 1 - d.  The level walk behind d visits only the sets D of
+    fewer than d vertices, so it never reaches the C(n, k*) coalitions of
+    the passing size.
 
     Sizes 1..k*-1 are scanned in lexicographic order up to their first
     failure; the one of size k* - 1 certifies minimality.  ``sets_checked``
@@ -380,25 +412,12 @@ def exhaustive_graph_search(n: int) -> SearchReport:
     Entry ``mask`` belongs to ``edge_mask_graph(n, mask)``, whose edge bit
     order is (0,1), (0,2), ..., (0,n-1), (1,2), ..., so results are
     reproducible.  Each k* is n + 1 - d, with d the smallest support in L
-    (see ``_distance`` and ``qstar_threshold``), found for every mask at once
-    by whole-array NumPy work in the narrowest unsigned type that holds a
-    vertex set.  Row v of one (n, 2^m) array holds vertex v's neighbour mask
-    in every graph; from one column, it doubles once per edge bit in
-    ascending order, the upper half adding the edge's other endpoint.
-
-    d starts at n (Z_V itself, D empty), and the walk visits the nonempty
-    sets D by size, one level of C(n, s) sets at a time: Odd(D) is its
-    parent's Odd (D less its largest vertex, one level down) XOR that
-    vertex's row.  With A = V the support D | (Odd(D) ^ V) has
-    n + |D| - |D | Odd(D)| vertices, so one popcount of D | Odd(D) scores
-    both candidates: d falls to that count when |D| is odd, and to n + |D|
-    minus it always; a level is scored at once by the least and greatest
-    count over its sets.  Every support contains its D, so a set of s
-    vertices scores at least s: before level s the walk keeps only the
-    graphs whose d is still above s, as ``_distance`` does, and stops when
-    none is left.
-    At n = 6 that is the 6 single vertices over all 32,768 graphs and the 15
-    pairs over 1,760 of them.
+    (see ``qstar_threshold``), found for every mask at once by
+    ``_min_support`` with A = V on one (n, 2^m) array of neighbour masks,
+    built from one column by doubling once per edge bit in ascending order,
+    the upper half adding the edge's other endpoint.  The walk drops each
+    graph once no larger D can lower its d: at n = 6 it scores the 6 single
+    vertices over all 32,768 graphs and the 15 pairs over 1,760 of them.
 
     The report is read off the same arrays: ``k_stars`` is n + 1 - d as
     uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
@@ -420,27 +439,7 @@ def exhaustive_graph_search(n: int) -> SearchReport:
         adj[:, 1 << e : 2 << e] = adj[:, : 1 << e]  # the upper half has edge (i, j)
         adj[i, 1 << e : 2 << e] |= 1 << j
         adj[j, 1 << e : 2 << e] |= 1 << i
-    best = np.full(1 << m, n, dtype=np.uint8)
-    alive, rows, sub = slice(None), adj, best  # d = n > 1: level 1 scores every graph
-    odd, index = np.zeros((1, 1), dtype=adj.dtype), {0: 0}  # Odd of D empty, in every graph
-    for s in range(1, n):
-        level = [sum(1 << v for v in team) for team in itertools.combinations(range(n), s)]
-        top = [d.bit_length() - 1 for d in level]
-        odd = odd[[index[d ^ 1 << v] for d, v in zip(level, top)]] ^ rows[top]
-        weight = odd | np.array(level, dtype=adj.dtype)[:, None]
-        np.bitwise_count(weight, out=weight)
-        if s % 2:
-            np.minimum(sub, weight.min(axis=0), out=sub)
-        np.minimum(sub, n + s - weight.max(axis=0), out=sub)
-        del weight  # as large as the level's Odd arrays; freed before the next level's
-        best[alive] = sub
-        keep = np.flatnonzero(sub > s + 1)  # the graphs level s + 1 can still improve
-        if not len(keep):
-            break
-        alive = np.flatnonzero(best > s + 1)  # the same graphs, as masks
-        rows, sub, odd = rows[:, keep], sub[keep], odd[:, keep]
-        index = {d: k for k, d in enumerate(level)}
-    k_stars = np.subtract(n + 1, best, out=best)
+    k_stars = n + 1 - _min_support(adj, (1 << n) - 1)
     histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
     at = np.flatnonzero(k_stars == min(histogram))
     return SearchReport(k_stars, histogram, _graph6_many(n, adj[:, at]))

@@ -77,7 +77,7 @@ class Transcript:
 
 @lru_cache(maxsize=256)
 def _threshold_feasible(g: Graph, a: VertexSet) -> int:
-    """k*, one distance walk per (g, a): a deal is feasible iff its k is at least this."""
+    """k*, one level walk per (g, a): a deal is feasible iff its k is at least this."""
     return access._k_star(g, a)
 
 
@@ -96,7 +96,7 @@ def deal(cfg: ProtocolConfig, secret: tuple[complex, complex]) -> Transcript:
     if not abs(sum(x.real * x.real + x.imag * x.imag for x in (alpha, beta)) - 1.0) <= FIDELITY_ATOL:
         raise ValueError("secret amplitudes are not normalized")
     g, a = cfg.graph, cfg.access_set
-    # the distance walk refuses graphs over access.ENUMERATION_LIMIT vertices
+    # the level walk refuses graphs over access.ENUMERATION_LIMIT vertices
     if cfg.k < _threshold_feasible(g, a):
         raise ValueError(f"some size-{cfg.k} coalition cannot reconstruct on this graph")
     rng = random.Random(cfg.seed)

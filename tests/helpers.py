@@ -36,7 +36,7 @@ import numpy as np
 from graphqss import shamir
 from graphqss.access import ThresholdReport, _q_accessing_masks, reconstruction_witnesses
 from graphqss.errors import ProtocolStateError
-from graphqss.graphs import Graph, VertexSet, odd_neighborhood
+from graphqss.graphs import Graph, VertexSet, odd_mask, odd_neighborhood
 from graphqss.protocol import RecoveredSecret, Transcript
 from graphqss.quantum import (
     ATOL_ZERO_TEST,
@@ -125,12 +125,11 @@ def brute_distance(g: Graph, a: VertexSet) -> int:
     """Smallest support over every D of K_D (when |D & a| is odd) and of
     Z_a.K_D, whose supports are D | Odd(D) and D | (Odd(D) ^ a)."""
     best = g.n
-    for mask in range(1 << g.n):
-        d = VertexSet(g.n, mask)
-        odd = odd_neighborhood(g, d).mask
-        best = min(best, len(d | VertexSet(g.n, odd ^ a.mask)))
-        if len(d & a) % 2 == 1:
-            best = min(best, len(d | VertexSet(g.n, odd)))
+    for d in range(1 << g.n):
+        odd = odd_mask(g, d)
+        best = min(best, (d | (odd ^ a.mask)).bit_count())
+        if (d & a.mask).bit_count() % 2 == 1:
+            best = min(best, (d | odd).bit_count())
     return best
 
 

@@ -24,6 +24,7 @@ from graphqss.gf2 import null_basis, reduce_rows
 from graphqss.graphs import (
     Graph,
     VertexSet,
+    c5_power,
     delta_complement,
     family,
     lexicographic_product,
@@ -386,14 +387,19 @@ class TestThreshold:
             assert qstar_threshold(g, a) == lex_threshold(g, a), (g.adj, a.mask)
 
     def test_distance_matches_brute_force(self):
-        cases = [(g, VertexSet(g.n, m)) for n in range(1, 5) for g in all_graphs(n) for m in range(1, 1 << n)]
+        # every (G, A) up to n = 5, then seeded graphs up to n = 14, each with
+        # A = V and a proper A, so that both scoring rules run over several levels
+        cases = [(g, VertexSet(g.n, m)) for n in range(1, 6) for g in all_graphs(n) for m in range(1, 1 << n)]
         rng = random.Random(8)
-        for _ in range(200):
-            n = rng.randint(5, 8)
-            g = family("random", n, p=rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
-            cases.append((g, VertexSet(n, rng.randrange(1, 1 << n))))
+        for n in range(6, 15):
+            for _ in range(10):
+                g = family("random", n, p=rng.choice([0.3, 0.5, 0.7]), seed=rng.randrange(10**6))
+                cases += [(g, VertexSet.full(n)), (g, VertexSet(n, rng.randrange(1, (1 << n) - 1)))]
         for g, a in cases:
             assert access._distance(g.adj, a.mask) == brute_distance(g, a), (g.adj, a.mask)
+        g = c5_power(2)  # eight levels with A = V, three with A = {0, 5, 10, 15, 20}
+        assert access._distance(g.adj, (1 << 25) - 1) == 9
+        assert access._distance(g.adj, sum(1 << v for v in range(0, 25, 5))) == 4
 
     def test_size_below_k_star_passing_is_internal_error(self, monkeypatch):
         # d = 1 would put k* at 5 on C5, but every 3-set accesses

@@ -1,7 +1,7 @@
 """Imports: every name that a module of src/graphqss or a demo imports is
 used in it; the package exports a fixed set of names; only the commands
-that build amplitudes or run the search's weight walk load NumPy (and
-``protocol-run``, which reconstructs by Pauli algebra, does not); and no
+that build amplitudes or run the level walk behind k* (``search``,
+``threshold`` and ``protocol-run``'s feasibility check) load NumPy; and no
 command loads multiprocessing.
 
 The package's ``__init__.py`` imports names only to re-export them, so it is
@@ -91,16 +91,16 @@ INTEGER_COMMANDS = [
     ["bound", "--n", "100", "--k", "51"],
     ["classify", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
     ["witness", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
-    ["threshold", "--family", "c5pow", "--i", "1"],
-    ["threshold", "--family", "c5pow", "--i", "2"],
     ["product", "--n1", "5", "--k1", "3", "--n2", "5", "--k2", "3"],
     ["family", "--family", "random", "--n", "6", "--p", "0.5", "--seed", "2"],
-    ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"],
-    ["protocol-run", "--family", "cycle", "--n", "13", "--k", "11", "--coalition", "0,1,2,3,4,5,6,7,8,9,10"],
 ]
 NUMPY_COMMANDS = [
     ["simulate", "--family", "cycle", "--n", "5", "--B", "0,1,2"],
     ["search", "--n", "4"],
+    ["threshold", "--family", "c5pow", "--i", "1"],
+    ["threshold", "--family", "c5pow", "--i", "2"],
+    ["protocol-run", "--family", "cycle", "--n", "5", "--k", "3", "--coalition", "0,1,2"],
+    ["protocol-run", "--family", "cycle", "--n", "13", "--k", "11", "--coalition", "0,1,2,3,4,5,6,7,8,9,10"],
 ]
 
 
