@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from . import gf2
 from .errors import NoWitnessError, ResourceLimitError
-from .graphs import Graph, VertexSet, _graph6_many, bits, odd_mask
+from .graphs import Graph, VertexSet, _graph6_header, bits, odd_mask
 
 # the level walk behind k* on C5^2 (n = 25, d = 9): 5.5 ms, 13.0 MB tracemalloc peak; on C5^2
 # plus a vertex joined to a seeded half of it (n = 26, d = 8): 4.0 ms, 7.9 MB (2-core host)
@@ -75,7 +75,8 @@ class SearchReport:
     """``exhaustive_graph_search``'s result: ``k_stars[mask]`` is the k* of
     ``edge_mask_graph(n, mask)`` (a uint8 NumPy array), ``histogram`` maps
     each k* to its count in ascending k, and ``attainers_graph6`` are the
-    graph6 strings of the graphs of the smallest k* in ascending mask order."""
+    graph6 strings, written from their edge masks, of the graphs of the
+    smallest k* in ascending mask order."""
 
     k_stars: Any
     histogram: dict[int, int]
@@ -406,6 +407,27 @@ def edge_mask_graph(n: int, mask: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _graph6_many(n: int, masks) -> tuple[str, ...]:
+    """graph6 of the graphs on n >= 1 vertices with edge masks ``masks``.
+    Its stream, the pairs (0, j) .. (j - 1, j) column by column, is a fixed
+    reordering of the mask bits, padded to whole characters with bit m, which
+    no edge uses: one shift writes every stream, and each 6 bits pack into a
+    character.  Past 64 bits (n >= 12) the masks are an object array."""
+    import numpy as np
+
+    order = [_edge_bit(n, i, j) for j in range(1, n) for i in range(j)]
+    order += [len(order)] * (-len(order) % 6)
+    masks = np.asarray(masks, dtype=np.min_scalar_type(1 << len(order)))
+    stream = masks[:, None] >> np.array(order, dtype=masks.dtype) & 1
+    head = _graph6_header(n).encode("ascii")
+    text = np.empty((len(masks), len(head) + len(order) // 6), dtype=np.uint8)
+    text[:, : len(head)] = list(head)
+    chars = stream.reshape(len(masks), -1, 6) @ (32 >> np.arange(6, dtype=masks.dtype))
+    text[:, len(head) :] = chars + 63
+    flat, width = text.tobytes().decode("ascii"), text.shape[1]
+    return tuple(flat[k : k + width] for k in range(0, len(flat), width))
+
+
 def exhaustive_graph_search(n: int) -> SearchReport:
     """Threshold k* (with A = V) of every labelled graph on n vertices.
 
@@ -421,8 +443,8 @@ def exhaustive_graph_search(n: int) -> SearchReport:
 
     The report is read off the same arrays: ``k_stars`` is n + 1 - d as
     uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
-    ``attainers_graph6`` is written by ``graphs._graph6_many`` from the
-    neighbour rows at the masks of the smallest k*, in ascending mask order.
+    ``attainers_graph6`` is written by ``_graph6_many`` straight from the edge
+    masks of the smallest k*, in ascending mask order.
 
     Exponential in n(n-1)/2; refuses n beyond ``SEARCH_N_LIMIT`` before any
     array is built.
@@ -441,5 +463,4 @@ def exhaustive_graph_search(n: int) -> SearchReport:
         adj[j, 1 << e : 2 << e] |= 1 << i
     k_stars = n + 1 - _min_support(adj, (1 << n) - 1)
     histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
-    at = np.flatnonzero(k_stars == min(histogram))
-    return SearchReport(k_stars, histogram, _graph6_many(n, adj[:, at]))
+    return SearchReport(k_stars, histogram, _graph6_many(n, np.flatnonzero(k_stars == min(histogram))))

@@ -357,29 +357,6 @@ def _to_graph6(g: Graph) -> str:
     return head + "".join(chr(int(stream[k : k + 6], 2) + 63) for k in range(0, len(stream), 6))
 
 
-def _graph6_many(n: int, rows) -> tuple[str, ...]:
-    """graph6 of many graphs on n >= 1 vertices: ``rows[v]`` is a NumPy array
-    of vertex v's neighbour mask in each graph.  One array pass per bit of the
-    column-order stream ORs bit i of ``rows[j]`` into its 6-bit character, so
-    the work is linear in the stream; the text is decoded once and sliced."""
-    import numpy as np
-
-    head = _graph6_header(n).encode("ascii")
-    start = len(head)
-    width = start + (n * (n - 1) // 2 + 5) // 6
-    text = np.zeros((len(rows[0]), width), dtype=np.uint8)
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = ((rows[j] >> i) & 1).astype(np.uint8, copy=False)
-            text[:, start + pos // 6] |= bit << (5 - pos % 6)
-            pos += 1
-    text[:, start:] += 63
-    text[:, :start] = np.frombuffer(head, dtype=np.uint8)
-    flat = text.tobytes().decode("ascii")
-    return tuple(flat[k : k + width] for k in range(0, len(flat), width))
-
-
 def _parse_graph6(text: str) -> Graph:
     if not text:
         raise GraphParseError("empty graph6 string")

@@ -190,8 +190,9 @@ def distinguishability(g: Graph, a: VertexSet, b: VertexSet) -> tuple[float, flo
 
 
 def dump_state(s: StateVector) -> str:
-    """Text dump: one 'index re im' line per basis state, index ascending."""
+    """Text dump: one 'index re im' line per basis state, index ascending;
+    adding 0.0 prints a zero part as 0, never as -0."""
     lines = [
-        f"{i} {amp.real:.17g} {amp.imag:.17g}" for i, amp in enumerate(s.amplitudes)
+        f"{i} {amp.real + 0.0:.17g} {amp.imag + 0.0:.17g}" for i, amp in enumerate(s.amplitudes)
     ]
     return "\n".join(lines) + "\n"

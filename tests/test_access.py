@@ -585,6 +585,32 @@ class TestExhaustiveSearch:
             edge_mask_graph(n, mask)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_graph6_many_matches_single_writer_on_every_labelled_graph(self, n):
+        # n = 1 is the header alone; the masks are every edge mask in order
+        masks = range(1 << (n * (n - 1) // 2))
+        ours = access._graph6_many(n, np.array(masks))
+        assert ours == tuple(serialize_graph(edge_mask_graph(n, m), "graph6") for m in masks)
+        assert n > 1 or ours == ("@",)
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_graph6_many_matches_networkx(self, n):
+        # bodies of 4..11 characters; those at n = 9 (36 bits) and n = 12 (66
+        # bits) have no partial last character, and n = 12's masks pass 64 bits
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        gs = [family("random", n, p=rng.random(), seed=rng.randrange(1 << 30)) for _ in range(50)]
+        masks = [sum(1 << access._edge_bit(n, i, j) for i, j in g.edges()) for g in gs]
+        masks = np.array(masks, dtype=np.min_scalar_type((1 << (n * (n - 1) // 2)) - 1))
+        assert (masks.dtype == object) == (n == 12)
+        theirs = []
+        for g in gs:
+            nxg = nx.Graph()
+            nxg.add_nodes_from(range(n))
+            nxg.add_edges_from(g.edges())
+            theirs.append(nx.to_graph6_bytes(nxg, header=False).strip().decode())
+        assert access._graph6_many(n, masks) == tuple(theirs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_labelled_reference(self, n):
         # the whole report against the lex oracle, one k* per edge mask:
         # histogram by Counter, attainers by the single-graph graph6 writer on

@@ -125,7 +125,7 @@ def test_integer_commands_load_neither_numpy_nor_multiprocessing(capsys):
 
 
 @pytest.mark.parametrize("argv", NUMPY_COMMANDS, ids=lambda argv: argv[0])
-def test_statevector_and_search_commands_load_numpy(capsys, argv):
+def test_simulate_search_threshold_and_protocol_run_load_numpy(capsys, argv):
     [(code, out, heavy)] = _fresh_run([argv])
     assert "numpy" in heavy and "multiprocessing" not in heavy
     assert [code, out] == _in_process(capsys, argv)

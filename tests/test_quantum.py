@@ -422,3 +422,11 @@ class TestDump:
         assert len(lines) == 2
         idx, re, im = lines[0].split()
         assert idx == "0" and float(re) == pytest.approx(1 / math.sqrt(2)) and float(im) == 0.0
+
+    def test_zero_parts_print_unsigned(self):
+        # a negative amplitude times Z_A's sign has imag -0.0, which prints as 0
+        state = encode_classical(family("cycle", 3), VertexSet.full(3), 1)
+        assert np.signbit(state.amplitudes.imag).any()
+        tokens = [line.split() for line in dump_state(state).splitlines()]
+        assert tokens[7] == ["7", "0.35355339059327373", "0"]
+        assert all(part != "-0" for _, re, im in tokens for part in (re, im))
