@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphqss import graphs
+from graphqss import access, graphs
+from graphqss.access import edge_mask_graph
 from graphqss.errors import GraphParseError, ResourceLimitError
 from graphqss.graphs import (
     _MAX_GRAPH6_N,
@@ -298,6 +300,15 @@ class TestGraph6Format:
             back = nx.from_graph6_bytes(theirs.encode())
             assert parse_graph(theirs, "graph6") == Graph.from_edges(n, back.edges())
             assert back.number_of_nodes() == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_many_matches_single_writer_on_every_labelled_graph(self, n):
+        # access._graph6_many, the search's writer for its attainers: n = 1 is
+        # the header alone; the masks are every edge mask in order
+        masks = range(1 << (n * (n - 1) // 2))
+        ours = access._graph6_many(n, np.array(masks))
+        assert ours == tuple(serialize_graph(edge_mask_graph(n, m), "graph6") for m in masks)
+        assert n > 1 or ours == ("@",)
 
     def test_multibyte_vertex_count(self):
         g = family("cycle", 125)
