@@ -442,7 +442,7 @@ def exhaustive_graph_search(n: int) -> SearchReport:
     vertices over all 32,768 graphs and the 15 pairs over 1,760 of them.
 
     The report is read off the same arrays: ``k_stars`` is n + 1 - d as
-    uint8, ``histogram`` the nonzero entries of ``np.bincount(k_stars)``, and
+    uint8, ``histogram`` the nonzero counts of each k* in 1..n, and
     ``attainers_graph6`` is written by ``_graph6_many`` straight from the edge
     masks of the smallest k*, in ascending mask order.
 
@@ -462,5 +462,6 @@ def exhaustive_graph_search(n: int) -> SearchReport:
         adj[i, 1 << e : 2 << e] |= 1 << j
         adj[j, 1 << e : 2 << e] |= 1 << i
     k_stars = n + 1 - _min_support(adj, (1 << n) - 1)
-    histogram = {k: count for k, count in enumerate(np.bincount(k_stars).tolist()) if count}
+    # per-value counts read the uint8 array as it is; np.bincount casts it to intp
+    histogram = {k: count for k in range(1, n + 1) if (count := int(np.count_nonzero(k_stars == k)))}
     return SearchReport(k_stars, histogram, _graph6_many(n, np.flatnonzero(k_stars == min(histogram))))

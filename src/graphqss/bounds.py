@@ -16,7 +16,9 @@ The terms below any lo <= u therefore add up to less than C(n, lo), and
 the partial sum over lo..u brackets the whole sum from both sides.  A
 verdict that holds against both ends of the bracket is the exact verdict;
 the bracket is widened only while it straddles the left-hand side, and it
-is exact once it reaches i = 1.
+is exact once it reaches i = 1.  The sum is also below 2 * C(n, u), so
+where C(n, k) outweighs the right-hand side by bits alone, k fails without
+any big-integer step; ``min_feasible_k`` steps exactly only near its answer.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from typing import Optional
 
 from .errors import ResourceLimitError
 
-# min_feasible_k builds two binomials and brackets the sum from its top
-# terms: about 0.06 s at n = 10^5 on a 2-core host.  counting_inequality
-# sums all of its terms, which is O(n^2), and shares the cap
+# min_feasible_k builds two binomials, decides most sizes by bit lengths and
+# brackets the sum near its answer: about 0.015 s at n = 10^5 on a 2-core
+# host.  counting_inequality sums all of its terms, which is O(n^2), and
+# shares the cap
 MIN_K_N_LIMIT = 100_000
 # the pure-QSS scan steps n = 2k - 1 by Pascal's rule: about 0.5 ms at
 # max_k = 400 and 2 ms at 1,000 on a 2-core host
@@ -69,15 +72,15 @@ class PureQssReport:
 
 
 def _primes(n: int) -> list[int]:
-    """Every prime up to n, by a bytearray sieve."""
+    """Every prime up to n, by a bytearray sieve over the odd numbers."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+    sieve = bytearray([1]) * ((n + 1) // 2)  # entry i stands for 2i + 1
+    sieve[0] = 0
+    for p in range(3, isqrt(n) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return [2, *compress(range(1, n + 1, 2), sieve)]
 
 
 def _binomial(n: int, k: int, primes: list[int]) -> int:
@@ -161,11 +164,18 @@ def min_feasible_k(n: int) -> int:
     """Smallest k above n/2 passing the counting inequality; exact scan.
 
     C(n, k) and the top term C(n, u) are built once, from one sieve, at the
-    first k; as k grows they and C(k - 1, 2k - n - 1) are stepped by exact
-    ratio recurrences.  The sum is held as the window lo..u of its top terms
-    plus C(n, lo), which bracket it (see the module docstring): each k is
-    decided against both ends, and the window doubles downward only while
-    they disagree.  n = 100,000 takes about 0.06 s on a 2-core host.
+    first k, and are then held as that anchor times pending ratio products
+    p / q.  An exact quotient x * p / q has within 1 of bl(x) + bl(p) - bl(q)
+    bits, so those sums give B_k and B_u with C(n, k) >= 2^(B_k - 2) and
+    C(n, u) < 2^(B_u + 1).  The sum lies in [C(n, u), 2 C(n, u)) (see the
+    module docstring), so the right-hand side is below
+    4 * small * C(n, u) < 2^(bl(small) + B_u + 3), with small the exactly
+    stepped C(k - 1, 2k - n - 1): k fails for certain when
+    B_k >= bl(small) + B_u + 5.  Only where that test cannot decide are the
+    pending products applied, one multiply and one exact division each, and
+    the sum bracketed by the window lo..u of its top terms plus C(n, lo):
+    k is decided against both ends, and the window doubles downward only
+    while they disagree.  n = 100,000 takes about 0.015 s on a 2-core host.
     Refuses n above ``MIN_K_N_LIMIT`` before any binomial is built.
     """
     if n < 5:
@@ -175,34 +185,36 @@ def min_feasible_k(n: int) -> int:
     k = n // 2 + 1
     upper = (2 * (n - k + 1)) // 3
     primes = _primes(n)
-    c_k = _binomial(n, k, primes)
-    c_upper = _binomial(n, upper, primes)
+    # C(n, k) = c_k * p_k / q_k and C(n, upper) = c_upper * p_u / q_u
+    c_k, p_k, q_k = _binomial(n, k, primes), 1, 1
+    c_upper, p_u, q_u = _binomial(n, upper, primes), 1, 1
     # C(k - 1, 2k - n - 1): the lower index starts at 0 (n odd) or 1 (n even)
     small = k - 1 if n % 2 == 0 else 1
-    lo, c_lo, known = upper, c_upper, c_upper  # known = sum of C(n, lo..upper)
-    while True:
-        while True:
-            if _at_most(c_k, known, 2 * small):
-                return k
-            if lo == 1 or not _at_most(c_k, known + c_lo, 2 * small):
-                break
-            new_lo = max(1, 2 * lo - upper - 1)
-            for i in range(lo, new_lo, -1):
-                c_lo = c_lo * i // (n - i + 1)
-                known += c_lo
-            lo = new_lo
-        if k == n:
-            raise RuntimeError(f"counting inequality holds for no k on n={n}")
+    # k = n has u = 0 and an empty sum, so it never passes
+    for k in range(k, n):
+        b_k = c_k.bit_length() + p_k.bit_length() - q_k.bit_length()
+        b_u = c_upper.bit_length() + p_u.bit_length() - q_u.bit_length()
+        if b_k < small.bit_length() + b_u + 5:
+            c_k, p_k, q_k = c_k * p_k // q_k, 1, 1
+            c_upper, p_u, q_u = c_upper * p_u // q_u, 1, 1
+            lo, c_lo, known = upper, c_upper, c_upper  # known = sum of C(n, lo..upper)
+            while True:
+                if _at_most(c_k, known, 2 * small):
+                    return k
+                if lo == 1 or not _at_most(c_k, known + c_lo, 2 * small):
+                    break
+                new_lo = max(1, 2 * lo - upper - 1)
+                for i in range(lo, new_lo, -1):
+                    c_lo = c_lo * i // (n - i + 1)
+                    known += c_lo
+                lo = new_lo
         j = 2 * k - n - 1
-        c_k = c_k * (n - k) // (k + 1)
+        p_k, q_k = p_k * (n - k), q_k * (k + 1)
         small = small * k * (k - 1 - j) // ((j + 1) * (j + 2))
-        k += 1
-        while upper > (2 * (n - k + 1)) // 3:
-            known -= c_upper
-            c_upper = c_upper * upper // (n - upper + 1)
+        while upper > (2 * (n - k)) // 3:  # the next k's upper limit
+            p_u, q_u = p_u * upper, q_u * (n - upper + 1)
             upper -= 1
-        if lo > upper > 0:  # the window emptied: restart from the top term
-            lo, c_lo, known = upper, c_upper, c_upper
+    raise RuntimeError(f"counting inequality holds for no k on n={n}")
 
 
 def pure_qss_feasibility(max_k: int = 100) -> PureQssReport:

@@ -1,8 +1,10 @@
 import random
-from math import comb
+from bisect import bisect_right
+from math import comb, isqrt
 
 import pytest
 
+from graphqss import bounds
 from graphqss.bounds import (
     MIN_K_N_LIMIT,
     _binomial,
@@ -96,6 +98,15 @@ class TestBinomial:
         for n in range(60):
             assert _primes(n) == [p for p in range(2, n + 1) if all(p % d for d in range(2, p))]
 
+    def test_odd_only_sieve_against_trial_division(self):
+        # every n <= 5,000, plus p^2 - 1, p^2 and p^2 + 1 for each odd prime
+        # p up to 71, where the sieve's first crossing-out of p starts
+        top = 71**2 + 1
+        primes = [m for m in range(2, top + 1) if all(m % d for d in range(2, isqrt(m) + 1))]
+        squares = [p * p + d for p in primes if 2 < p <= 71 for d in (-1, 0, 1)]
+        for n in [*range(5001), *squares]:
+            assert _primes(n) == primes[: bisect_right(primes, n)], n
+
 
 class TestMinFeasibleK:
     def test_five(self):
@@ -138,6 +149,23 @@ class TestMinFeasibleK:
     def test_domain(self):
         with pytest.raises(ValueError):
             min_feasible_k(4)
+
+    @pytest.mark.parametrize("n,k", [(30_000, 15_193), (100_000, 50_639)])
+    def test_exact_steps_only_near_the_crossing(self, monkeypatch, n, k):
+        # sizes far from the crossing are decided by bit lengths alone, so
+        # the exact window bracket runs at one or two sizes
+        calls = []
+        at_most = bounds._at_most
+        monkeypatch.setattr(bounds, "_at_most", lambda *args: calls.append(args) or at_most(*args))
+        assert min_feasible_k(n) == k
+        assert len(calls) <= 5
+
+    @pytest.mark.parametrize("n,k", [(29_500, 14_939), (100_000, 50_639)])
+    def test_below_the_abstracts_79_over_156(self, n, k):
+        # the exact inequality admits these k, below 79n/156 (14,939.10 and
+        # 50,641.03); the test records the comparison, not a verdict on it
+        assert min_feasible_k(n) == k
+        assert 156 * k < 79 * n
 
     def test_at_the_cap(self):
         # checked with math.comb, independently of the recurrences in bounds.
