@@ -57,7 +57,9 @@ def reduce_rows(rows: Iterable[tuple[int, int]], mask: int) -> tuple[dict[int, i
 
 
 def null_basis(pivots: dict[int, int], mask: int) -> list[int]:
-    """One kernel vector per free column of ``mask``, from ``reduce_rows`` pivots."""
+    """One kernel vector per free column of ``mask``, ascending, from ``reduce_rows`` pivots.
+    Each sets its own free column and pivot columns only, as ``reduce_rows``' solution does,
+    so an XOR of j of them, with or without that solution, weighs at least j."""
     out = []
     for f in range(mask.bit_length()):
         if (mask >> f) & 1 and f not in pivots:

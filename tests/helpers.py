@@ -15,7 +15,11 @@ relying on relabelling symmetry, the array search reference scores all
 arrays read bit by bit off the mask table, never doubled over edges, the
 threshold reference scans every size's coalitions in lexicographic order,
 never through the code distance, the distance reference scores all 2^n sets
-D, never pruning by size, the min-k reference builds the whole counting
+D, never pruning by size, the small-witness reference scores every
+vector of the kernel and its coset by a Gray-code walk, never stopping at
+a weight (it shares ``gf2``'s basis and the certifiers with
+``small_witness``, so it checks the walk, not the basis), the min-k
+reference builds the whole counting
 sum, never bracketing it, the GF(256) reference multiplies by
 shift-and-add, never through log tables, the graph-state reference flips
 one parity bit per edge, never doubling over vertices, and the protocol
@@ -33,10 +37,16 @@ from typing import Optional
 
 import numpy as np
 
-from graphqss import shamir
-from graphqss.access import ThresholdReport, _q_accessing_masks, reconstruction_witnesses
-from graphqss.errors import ProtocolStateError
-from graphqss.graphs import Graph, VertexSet, odd_mask, odd_neighborhood
+from graphqss import gf2, shamir
+from graphqss.access import (
+    ThresholdReport,
+    _certify_accessing,
+    _certify_blind,
+    _q_accessing_masks,
+    reconstruction_witnesses,
+)
+from graphqss.errors import NoWitnessError, ProtocolStateError
+from graphqss.graphs import Graph, VertexSet, bits, odd_mask, odd_neighborhood
 from graphqss.protocol import RecoveredSecret, Transcript
 from graphqss.quantum import (
     ATOL_ZERO_TEST,
@@ -131,6 +141,45 @@ def brute_distance(g: Graph, a: VertexSet) -> int:
         if (d & a.mask).bit_count() % 2 == 1:
             best = min(best, (d | odd).bit_count())
     return best
+
+
+def gray_small_witness(g: Graph, b: VertexSet) -> tuple[VertexSet, str]:
+    """``small_witness`` by a Gray-code walk over all 2^dim vectors of the
+    kernel and its coset: each family keeps its least (weight, ascending
+    members), and odd-wise wins a weight tie."""
+    mb, full = b.mask, (1 << g.n) - 1
+    rows = ((g.adj[v], 1) for v in bits(full ^ mb))
+    pivots, coset = gf2.reduce_rows(rows, mb)
+    basis = gf2.null_basis(pivots, mb)
+
+    best_odd: Optional[int] = None
+    best_even: Optional[int] = None
+
+    def better(cur: Optional[int], cand: int) -> bool:
+        if cur is None:
+            return True
+        cw, nw = cur.bit_count(), cand.bit_count()
+        if nw != cw:
+            return nw < cw
+        # lexicographic tie-break on ascending member lists
+        return tuple(bits(cand)) < tuple(bits(cur))
+
+    vec = 0
+    for i in range(1 << len(basis)):
+        if i:
+            vec ^= basis[(i & -i).bit_length() - 1]
+            if coset is not None:
+                coset ^= basis[(i & -i).bit_length() - 1]
+        if vec.bit_count() % 2 == 1 and better(best_odd, vec):
+            best_odd = vec
+        if coset is not None and coset != 0 and better(best_even, coset):
+            best_even = coset
+
+    if best_odd is None and best_even is None:
+        raise NoWitnessError("coalition has no odd-size odd-wise and no even-wise set")
+    if best_even is None or (best_odd is not None and best_odd.bit_count() <= best_even.bit_count()):
+        return _certify_accessing(g, full, mb, best_odd), "odd-wise-odd-size"
+    return _certify_blind(g, full, full ^ mb, best_even), "even-wise"
 
 
 def labelled_graph_search(n: int) -> list[int]:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import numpy as np
@@ -36,6 +37,7 @@ from helpers import (
     brute_accessing_witness,
     brute_blind_witness,
     brute_distance,
+    gray_small_witness,
     gray_walk_k_stars,
     labelled_graph_search,
     lex_threshold,
@@ -57,6 +59,15 @@ def random_case(rng, max_n=8):
     a = VertexSet(n, rng.randrange(1, 1 << n))
     b = VertexSet(n, rng.randrange(1 << n))
     return g, a, b
+
+
+def _witness_outcome(find, g, b):
+    """(members, kind) of find(g, b), or (None, the error's name) if it raises."""
+    try:
+        x, kind = find(g, b)
+    except NoWitnessError as exc:
+        return None, type(exc).__name__
+    return x.members(), kind
 
 
 def _cut_rows(g, b):
@@ -509,6 +520,49 @@ class TestSmallWitness:
         monkeypatch.setattr(access.gf2, "null_basis", None)
         with pytest.raises(ResourceLimitError, match="kernel dimension 25 exceeds limit 24"):
             small_witness(Graph.empty(25), VertexSet.full(25))
+
+    def test_empty_graph_at_the_cap(self):
+        # kernel dimension 24 with a one-vertex answer: the walk ends at level 2
+        start = time.perf_counter()
+        x, kind = small_witness(Graph.empty(24), VertexSet.full(24))
+        assert time.perf_counter() - start < 1.0
+        assert (x.members(), kind) == ((0,), "odd-wise-odd-size")
+
+    def test_no_witness_at_the_cap(self):
+        # B = 0..25; vertex 26 sees all of B, 27 sees {0, 1} and 28 the rest:
+        # every kernel vector is even and the cut rows cannot all be hit
+        # oddly, so the walk is skipped at kernel dimension 24
+        edges = [(26, v) for v in range(26)] + [(27, 0), (27, 1)] + [(28, v) for v in range(2, 26)]
+        start = time.perf_counter()
+        with pytest.raises(NoWitnessError):
+            small_witness(Graph.from_edges(29, edges), VertexSet(29, (1 << 26) - 1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_matches_gray_walk_on_every_small_pair(self):
+        seen = Counter()
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for mask in range(1 << n):
+                    b = VertexSet(n, mask)
+                    got = _witness_outcome(small_witness, g, b)
+                    assert got == _witness_outcome(gray_small_witness, g, b), (g, b)
+                    seen[got[1]] += 1
+        assert set(seen) == {"NoWitnessError", "odd-wise-odd-size", "even-wise"}
+
+    def test_matches_gray_walk_at_seeded_pairs(self):
+        # sparse graphs and large coalitions leave few cut rows, so their
+        # kernels are wide: up to dimension 16 here
+        rng = random.Random(2024)
+        seen = Counter()
+        for n in range(6, 17):
+            for p in (0.05, 0.1, 0.3, 0.5):
+                for _ in range(25):
+                    g = family("random", n, p=p, seed=rng.randrange(10**6))
+                    b = VertexSet(n, rng.getrandbits(n) | rng.getrandbits(n))
+                    got = _witness_outcome(small_witness, g, b)
+                    assert got == _witness_outcome(gray_small_witness, g, b), (g, b)
+                    seen[got[1]] += 1
+        assert set(seen) == {"NoWitnessError", "odd-wise-odd-size", "even-wise"}
 
     def test_minimality_against_brute_force(self):
         rng = random.Random(3)

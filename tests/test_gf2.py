@@ -195,6 +195,25 @@ class TestKernel:
             assert v & ~mask == 0
             assert all(_parity(c, v) == 0 for c, _ in rows)
 
+    def test_each_vector_owns_its_free_column(self):
+        # access.small_witness stops its level walk on this: an XOR of j basis
+        # vectors, with or without the solution, sets exactly j free columns
+        rng = random.Random(31)
+        solved = 0
+        for i in range(500):
+            width = rng.randint(0, 40)
+            mask = (1 << width) - 1 if i % 2 else rng.randrange(1 << width)
+            rows = [(rng.randrange(1 << 40), rng.randint(0, 1))
+                    for _ in range(rng.randint(0, width))]
+            pivots, x = reduce_rows(rows, mask)
+            free = [f for f in range(width) if (mask >> f) & 1 and f not in pivots]
+            free_mask = sum(1 << f for f in free)
+            assert [v & free_mask for v in null_basis(pivots, mask)] == [1 << f for f in free]
+            if x is not None:
+                assert x & free_mask == 0
+                solved += 1
+        assert solved > 100
+
     @given(systems(max_rows=6, gapped=False))
     @settings(max_examples=80, deadline=None)
     def test_kernel_spans_whole_nullspace(self, system):
