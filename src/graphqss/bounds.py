@@ -17,8 +17,9 @@ the partial sum over lo..u brackets the whole sum from both sides.  A
 verdict that holds against both ends of the bracket is the exact verdict;
 the bracket is widened only while it straddles the left-hand side, and it
 is exact once it reaches i = 1.  The sum is also below 2 * C(n, u), so
-where C(n, k) outweighs the right-hand side by bits alone, k fails without
-any big-integer step; ``min_feasible_k`` steps exactly only near its answer.
+``min_feasible_k`` decides on C(n, k) / C(n, u) and builds neither
+binomial: where the ratio outweighs the rest by bits alone, k fails without
+any big-integer step, and only sizes near the answer are decided exactly.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from typing import Optional
 
 from .errors import ResourceLimitError
 
-# min_feasible_k builds two binomials, decides most sizes by bit lengths and
-# brackets the sum near its answer: about 0.015 s at n = 10^5 on a 2-core
-# host.  counting_inequality sums all of its terms, which is O(n^2), and
-# shares the cap
+# min_feasible_k factorises one binomial ratio, decides most sizes by bit
+# lengths and brackets the sum near its answer: about 0.006 s at n = 10^5 on
+# a 2-core host.  counting_inequality sums all of its terms, which is O(n^2),
+# and shares the cap
 MIN_K_N_LIMIT = 100_000
 # the pure-QSS scan steps n = 2k - 1 by Pascal's rule: about 0.5 ms at
 # max_k = 400 and 2 ms at 1,000 on a 2-core host
@@ -84,29 +85,40 @@ def _primes(n: int) -> list[int]:
 
 
 def _binomial(n: int, k: int, primes: list[int]) -> int:
-    """C(n, k), or 0 for k outside 0..n, from its prime factorisation.
+    """C(n, k), or 0 for k outside 0..n; ``primes`` must reach n."""
+    return _binomial_ratio(n, k, 0, primes)[0] if 0 <= k <= n else 0
 
-    Legendre's formula gives each prime's exponent, and a balanced product
-    tree multiplies the prime powers, so no big division is done.  ``primes``
-    must list every prime up to n, so several binomials share one sieve.
+
+def _binomial_ratio(n: int, k: int, u: int, primes: list[int]) -> tuple[int, int]:
+    """C(n, k) / C(n, u) in lowest terms, as (num, den), for k and u in 0..n.
+
+    By Legendre's formula a prime's exponent in the ratio sums
+    u // q + (n - u) // q - k // q - (n - k) // q over its powers q (the
+    n // q terms cancel).  Positive exponents make ``num`` and negative ones
+    ``den``, each by a balanced product tree, so no big division is done.
+    ``primes`` must list every prime up to max(k, n - k, u, n - u); above
+    that every term is 0.
     """
-    if not 0 <= k <= n:
-        return 0
-    k = min(k, n - k)
-    root, half = bisect_right(primes, isqrt(n)), bisect_right(primes, n // 2)
-    factors = []
+    a, b = min(k, n - k), min(u, n - u)
+    top = n - min(a, b)
+    root, half = bisect_right(primes, isqrt(top)), bisect_right(primes, n // 2)
+    num, den = [], []
     for p in primes[:root]:
         e, q = 0, p
-        while q <= n:
-            e += n // q - k // q - (n - k) // q
+        while q <= top:
+            e += b // q + (n - b) // q - a // q - (n - a) // q
             q *= p
         if e:
-            factors.append(p**e)
-    # above sqrt(n) only p itself divides, so each exponent is 0 or 1; above
-    # n/2 it is 1 exactly for the primes above n - k
-    factors += [p for p in primes[root:half] if n // p - k // p - (n - k) // p]
-    factors += primes[bisect_right(primes, n - k) : bisect_right(primes, n)]
-    return _product(factors)
+            (num if e > 0 else den).append(p ** abs(e))
+    # above sqrt(top) only q = p is left, where x // p + (n - x) // p is n // p
+    # less the carry [x % p > n % p]: the exponent is a's carry less b's
+    num += [p for p in primes[root:half] if a % p > n % p >= b % p]
+    den += [p for p in primes[root:half] if b % p > n % p >= a % p]
+    # above n/2 a's carry is 1 exactly for the primes above n - a, so
+    # only those between n - max(a, b) and top are left, all on one side
+    last = primes[bisect_right(primes, n - max(a, b)) : bisect_right(primes, top)]
+    (num if a > b else den).extend(last)
+    return _product(num), _product(den)
 
 
 def _product(factors: list[int]) -> int:
@@ -163,20 +175,24 @@ def counting_inequality(n: int, k: int) -> BoundReport:
 def min_feasible_k(n: int) -> int:
     """Smallest k above n/2 passing the counting inequality; exact scan.
 
-    C(n, k) and the top term C(n, u) are built once, from one sieve, at the
-    first k, and are then held as that anchor times pending ratio products
-    p / q.  An exact quotient x * p / q has within 1 of bl(x) + bl(p) - bl(q)
-    bits, so those sums give B_k and B_u with C(n, k) >= 2^(B_k - 2) and
-    C(n, u) < 2^(B_u + 1).  The sum lies in [C(n, u), 2 C(n, u)) (see the
-    module docstring), so the right-hand side is below
-    4 * small * C(n, u) < 2^(bl(small) + B_u + 3), with small the exactly
-    stepped C(k - 1, 2k - n - 1): k fails for certain when
-    B_k >= bl(small) + B_u + 5.  Only where that test cannot decide are the
-    pending products applied, one multiply and one exact division each, and
-    the sum bracketed by the window lo..u of its top terms plus C(n, lo):
-    k is decided against both ends, and the window doubles downward only
-    while they disagree.  n = 100,000 takes about 0.015 s on a 2-core host.
-    Refuses n above ``MIN_K_N_LIMIT`` before any binomial is built.
+    With small = C(k - 1, 2k - n - 1) and S the sum, k holds when
+    R = C(n, k) / C(n, u) <= 2 * small * S / C(n, u).  R is factorised once,
+    at the first k, as num / den (sieving to n - u only), then carried as
+    num * p / (den * q): a step of k multiplies it by (n - k) / (k + 1), a
+    step of u down by (n - u + 1) / u.  As S / C(n, u) lies in [1, 2) (see
+    the module docstring) and 2^(bl(x) - 1) <= x < 2^bl(x), k fails when
+    bl(num) + bl(p) >= bl(den) + bl(q) + bl(small) + 4, for then
+    num * p >= 2^(bl(den) + bl(q) + bl(small) + 2) > 4 * small * den * q.
+    Otherwise p and q are folded into num and den, and S / C(n, u) is
+    bracketed by its top terms T_i = C(n, i) / C(n, u): T_u = 1 and
+    T_(i - 1) = T_i * i / (n - i + 1), so if the window lo..u sums to
+    known / d and T_lo = c_lo / d, lowering lo from i makes d, known and
+    c_lo d * (n - i + 1), known * (n - i + 1) + c_lo * i and c_lo * i.  The
+    terms below lo add to less than T_lo, so k holds if
+    num * d <= 2 * small * den * known and fails unless
+    num * d <= 2 * small * den * (known + c_lo); no divisor is big.
+    The window doubles downward only while the two disagree.  Refuses n
+    above ``MIN_K_N_LIMIT`` before any prime is sieved.
     """
     if n < 5:
         raise ValueError("n must be >= 5")
@@ -184,35 +200,29 @@ def min_feasible_k(n: int) -> int:
         raise ResourceLimitError(f"n={n} exceeds min-k scan limit {MIN_K_N_LIMIT}")
     k = n // 2 + 1
     upper = (2 * (n - k + 1)) // 3
-    primes = _primes(n)
-    # C(n, k) = c_k * p_k / q_k and C(n, upper) = c_upper * p_u / q_u
-    c_k, p_k, q_k = _binomial(n, k, primes), 1, 1
-    c_upper, p_u, q_u = _binomial(n, upper, primes), 1, 1
+    # C(n, k) / C(n, upper) = num * p / (den * q)
+    (num, den), p, q = _binomial_ratio(n, k, upper, _primes(n - upper)), 1, 1
     # C(k - 1, 2k - n - 1): the lower index starts at 0 (n odd) or 1 (n even)
     small = k - 1 if n % 2 == 0 else 1
     # k = n has u = 0 and an empty sum, so it never passes
     for k in range(k, n):
-        b_k = c_k.bit_length() + p_k.bit_length() - q_k.bit_length()
-        b_u = c_upper.bit_length() + p_u.bit_length() - q_u.bit_length()
-        if b_k < small.bit_length() + b_u + 5:
-            c_k, p_k, q_k = c_k * p_k // q_k, 1, 1
-            c_upper, p_u, q_u = c_upper * p_u // q_u, 1, 1
-            lo, c_lo, known = upper, c_upper, c_upper  # known = sum of C(n, lo..upper)
+        if num.bit_length() + p.bit_length() < den.bit_length() + q.bit_length() + small.bit_length() + 4:
+            num, den, p, q = num * p, den * q, 1, 1
+            lo, c_lo, known, d = upper, 1, 1, 1
             while True:
-                if _at_most(c_k, known, 2 * small):
+                if _at_most(num * d, den * known, 2 * small):
                     return k
-                if lo == 1 or not _at_most(c_k, known + c_lo, 2 * small):
+                if lo == 1 or not _at_most(num * d, den * (known + c_lo), 2 * small):
                     break
                 new_lo = max(1, 2 * lo - upper - 1)
                 for i in range(lo, new_lo, -1):
-                    c_lo = c_lo * i // (n - i + 1)
-                    known += c_lo
+                    d, known, c_lo = d * (n - i + 1), known * (n - i + 1) + c_lo * i, c_lo * i
                 lo = new_lo
         j = 2 * k - n - 1
-        p_k, q_k = p_k * (n - k), q_k * (k + 1)
+        p, q = p * (n - k), q * (k + 1)
         small = small * k * (k - 1 - j) // ((j + 1) * (j + 2))
         while upper > (2 * (n - k)) // 3:  # the next k's upper limit
-            p_u, q_u = p_u * upper, q_u * (n - upper + 1)
+            p, q = p * (n - upper + 1), q * upper
             upper -= 1
     raise RuntimeError(f"counting inequality holds for no k on n={n}")
 

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_right
-from math import comb, isqrt
+from fractions import Fraction
+from math import comb, gcd, isqrt
 
 import pytest
 
@@ -8,6 +9,7 @@ from graphqss import bounds
 from graphqss.bounds import (
     MIN_K_N_LIMIT,
     _binomial,
+    _binomial_ratio,
     _binomial_sum,
     _primes,
     counting_inequality,
@@ -16,6 +18,9 @@ from graphqss.bounds import (
 )
 from graphqss.errors import ResourceLimitError
 from helpers import full_sum_min_feasible_k
+
+# the cap, and n a power of 2, 3, 5 or 7
+LARGE_AND_PRIME_POWER = [(100_000, 50_001), (2**16, 2**15), (2**16, 100), (3**10, 3**9), (5**7, 31_250), (7**5, 4_321)]
 
 
 def pascal_table(limit):
@@ -87,12 +92,37 @@ class TestBinomial:
                 expected = comb(n, k) if 0 <= k <= n else 0
                 assert _binomial(n, k, primes) == expected
 
-    @pytest.mark.parametrize(
-        "n,k",
-        [(100_000, 50_001), (2**16, 2**15), (2**16, 100), (3**10, 3**9), (5**7, 31_250), (7**5, 4_321)],
-    )
+    @pytest.mark.parametrize("n,k", LARGE_AND_PRIME_POWER)
     def test_large_and_prime_power_n(self, n, k):
         assert _binomial(n, k, _primes(n)) == comb(n, k)
+
+    def test_ratio_against_math_comb(self):
+        # num / den == Fraction(C(n, k), C(n, u)) and gcd(num, den) == 1, for
+        # every 0 <= u <= k <= n up to n = 90, past 81 = 3^4; above it every
+        # k against one seeded u, so the whole check stays near a second
+        rng = random.Random(5)
+        for n in range(301):
+            primes, row = _primes(n), [comb(n, i) for i in range(n + 1)]
+            for k in range(n + 1):
+                for u in range(k + 1) if n <= 90 else (rng.randrange(k + 1),):
+                    num, den = _binomial_ratio(n, k, u, primes)
+                    assert num * row[u] == den * row[k] and gcd(num, den) == 1, (n, k, u)
+
+    def test_ratio_with_the_sieve_cut_at_n_minus_u(self):
+        # min_feasible_k's call: k in the regime, u its sum's upper limit,
+        # and every prime above n - u dividing both binomials once
+        for n in range(1, 301):
+            for k in range(n // 2 + 1, n + 1):
+                u = (2 * (n - k + 1)) // 3
+                num, den = _binomial_ratio(n, k, u, _primes(n - u))
+                assert Fraction(num, den) == Fraction(comb(n, k), comb(n, u)), (n, k)
+
+    @pytest.mark.parametrize("n,k", LARGE_AND_PRIME_POWER)
+    def test_ratio_at_large_and_prime_power_n(self, n, k):
+        u = (2 * (n - k + 1)) // 3
+        num, den = _binomial_ratio(n, k, u, _primes(max(k, n - k, u, n - u)))
+        assert Fraction(num, den) == Fraction(comb(n, k), comb(n, u))
+        assert (num, den) == Fraction(num, den).as_integer_ratio()
 
     def test_sieve(self):
         for n in range(60):
@@ -159,6 +189,24 @@ class TestMinFeasibleK:
         monkeypatch.setattr(bounds, "_at_most", lambda *args: calls.append(args) or at_most(*args))
         assert min_feasible_k(n) == k
         assert len(calls) <= 5
+
+    @pytest.mark.parametrize("n,k", [(10_000, 5_065), (30_000, 15_193), (100_000, 50_639), (99_999, 50_639)])
+    def test_builds_neither_binomial(self, monkeypatch, n, k):
+        # the scan decides on C(n, k) / C(n, u) alone; n = 99,999 is odd, so
+        # C(k - 1, 2k - n - 1) starts at 1
+        def refuse(*args):
+            raise AssertionError("min_feasible_k built a binomial")
+
+        monkeypatch.setattr(bounds, "_binomial", refuse)
+        assert min_feasible_k(n) == k
+
+    def test_matches_full_sum_reference_at_the_benchmark_sizes(self):
+        # four seeded n from each window that the min_k_bounds workload
+        # draws from: n + randrange(100) for n = 10^4, 2 * 10^4, 3 * 10^4
+        rng = random.Random(32)
+        for base in (10_000, 20_000, 30_000):
+            for n in sorted(base + rng.randrange(100) for _ in range(4)):
+                assert min_feasible_k(n) == full_sum_min_feasible_k(n), n
 
     @pytest.mark.parametrize("n,k", [(29_500, 14_939), (100_000, 50_639)])
     def test_below_the_abstracts_79_over_156(self, n, k):
